@@ -7,8 +7,13 @@
 // charts of ISO/IEC 15444-1 Annex C (ENCODE / CODEMPS / CODELPS / BYTEOUT /
 // FLUSH and INITDEC / DECODE / MPS_EXCHANGE / LPS_EXCHANGE / BYTEIN) with
 // 0xFF byte-stuffing.
+//
+// The decoder is defined here, inline: it is a small value type, so tier-1
+// copies it into a local for the length of a coding pass and the compiler
+// keeps A, C, CT and the read position in registers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -35,24 +40,36 @@ struct mq_state {
     std::uint8_t sw;       ///< 1 ⇒ exchange MPS sense on LPS
 };
 
+namespace detail {
+
+// ISO/IEC 15444-1 Table C.2 — Qe values and probability estimation state
+// transitions.  {Qe, NMPS, NLPS, SWITCH}
+inline constexpr std::array<mq_state, 47> k_mq_states{{
+    {0x5601, 1, 1, 1},   {0x3401, 2, 6, 0},   {0x1801, 3, 9, 0},
+    {0x0AC1, 4, 12, 0},  {0x0521, 5, 29, 0},  {0x0221, 38, 33, 0},
+    {0x5601, 7, 6, 1},   {0x5401, 8, 14, 0},  {0x4801, 9, 14, 0},
+    {0x3801, 10, 14, 0}, {0x3001, 11, 17, 0}, {0x2401, 12, 18, 0},
+    {0x1C01, 13, 20, 0}, {0x1601, 29, 21, 0}, {0x5601, 15, 14, 1},
+    {0x5401, 16, 14, 0}, {0x5101, 17, 15, 0}, {0x4801, 18, 16, 0},
+    {0x3801, 19, 17, 0}, {0x3401, 20, 18, 0}, {0x3001, 21, 19, 0},
+    {0x2801, 22, 19, 0}, {0x2401, 23, 20, 0}, {0x2201, 24, 21, 0},
+    {0x1C01, 25, 22, 0}, {0x1801, 26, 23, 0}, {0x1601, 27, 24, 0},
+    {0x1401, 28, 25, 0}, {0x1201, 29, 26, 0}, {0x1101, 30, 27, 0},
+    {0x0AC1, 31, 28, 0}, {0x09C1, 32, 29, 0}, {0x08A1, 33, 30, 0},
+    {0x0521, 34, 31, 0}, {0x0441, 35, 32, 0}, {0x02A1, 36, 33, 0},
+    {0x0221, 37, 34, 0}, {0x0141, 38, 35, 0}, {0x0111, 39, 36, 0},
+    {0x0085, 40, 37, 0}, {0x0049, 41, 38, 0}, {0x0025, 42, 39, 0},
+    {0x0015, 43, 40, 0}, {0x0009, 44, 41, 0}, {0x0005, 45, 42, 0},
+    {0x0001, 45, 43, 0}, {0x5601, 46, 46, 0},
+}};
+
+}  // namespace detail
+
 /// The 47-state table (shared by encoder and decoder).
-[[nodiscard]] const mq_state& mq_table(std::uint8_t index) noexcept;
-
-/// Decoder renormalisation strategy.
-enum class mq_mode : std::uint8_t {
-    reference,  ///< Annex C flow chart: one shift per loop iteration
-    fast,       ///< batch renormalisation: leading-zero LUT, chunked shifts
-};
-
-/// What a freshly constructed decoder uses: `fast` when the active kernel
-/// table opts in (see kernel_table::mq_fast), else `reference`.
-[[nodiscard]] mq_mode default_mq_mode() noexcept;
-
-/// Number of left shifts that bring bit 15 of the 16-bit interval register
-/// up, i.e. the total shift one RENORMD performs for this `a`.  LUT-based;
-/// requires 1 <= a <= 0x7FFF (always true at renorm entry).  Exposed so tests
-/// can sweep it exhaustively against the iterative definition.
-[[nodiscard]] int mq_renorm_shift(std::uint32_t a) noexcept;
+[[nodiscard]] inline const mq_state& mq_table(std::uint8_t index) noexcept
+{
+    return detail::k_mq_states[index];
+}
 
 /// MQ encoder producing a byte vector.
 class mq_encoder {
@@ -87,38 +104,99 @@ private:
 };
 
 /// MQ decoder reading from a byte span (not owned; must outlive the decoder).
+/// Reading past the end of the codeword segment feeds 1-bits, as the spec
+/// prescribes when a marker is found, so any byte string decodes.
 class mq_decoder {
 public:
-    explicit mq_decoder(std::span<const std::uint8_t> data,
-                        mq_mode mode = default_mq_mode())
-        : mode_{mode}
+    explicit mq_decoder(std::span<const std::uint8_t> data) noexcept { init(data); }
+
+    /// (Re)start decoding from `data` (INITDEC).
+    void init(std::span<const std::uint8_t> data) noexcept
     {
-        init(data);
+        in_ = data;
+        bp_ = 0;
+        decisions_ = 0;
+        c_ = at(0) << 16;
+        byte_in();
+        c_ <<= 7;
+        ct_ -= 7;
+        a_ = 0x8000;
     }
 
-    /// (Re)start decoding from `data` (keeps the current mode).
-    void init(std::span<const std::uint8_t> data);
-
-    /// Decode one binary decision in context `cx`.
-    [[nodiscard]] int decode(mq_context& cx);
+    /// Decode one binary decision in context `cx` (DECODE, with the
+    /// MPS_EXCHANGE / LPS_EXCHANGE procedures folded in).
+    [[nodiscard]] int decode(mq_context& cx) noexcept
+    {
+        ++decisions_;
+        const mq_state& s = mq_table(cx.index);
+        a_ -= s.qe;
+        int d;
+        if ((c_ >> 16) < s.qe) {
+            if (a_ < s.qe) {
+                d = cx.mps;
+                cx.index = s.nmps;
+            } else {
+                d = 1 - cx.mps;
+                if (s.sw) cx.mps = static_cast<std::uint8_t>(1 - cx.mps);
+                cx.index = s.nlps;
+            }
+            a_ = s.qe;
+        } else {
+            c_ -= static_cast<std::uint32_t>(s.qe) << 16;
+            if (a_ & 0x8000) return cx.mps;
+            if (a_ < s.qe) {
+                d = 1 - cx.mps;
+                if (s.sw) cx.mps = static_cast<std::uint8_t>(1 - cx.mps);
+                cx.index = s.nlps;
+            } else {
+                d = cx.mps;
+                cx.index = s.nmps;
+            }
+        }
+        renorm();
+        return d;
+    }
 
     /// Number of decisions decoded since init (profiling hook: the paper's
     /// execution-time model charges per-decision work to the arith stage).
     [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
 
-    /// Renormalisation strategy.  Both modes are bit-exact by construction
-    /// (the fast path performs the same shifts with the same BYTEIN
-    /// boundaries, just in chunks); the setter exists so tests and the fuzzer
-    /// can pin either side regardless of the kernel dispatch.
-    void set_mode(mq_mode m) noexcept { mode_ = m; }
-    [[nodiscard]] mq_mode mode() const noexcept { return mode_; }
-
 private:
-    void byte_in();
-    void renorm();
-    void renorm_fast();
-    [[nodiscard]] int mps_exchange(mq_context& cx);
-    [[nodiscard]] int lps_exchange(mq_context& cx);
+    [[nodiscard]] std::uint32_t at(std::size_t i) const noexcept
+    {
+        return i < in_.size() ? in_[i] : 0xFF;
+    }
+
+    /// BYTEIN: after an 0xFF only 7 bits are read; an 0xFF followed by a
+    /// byte above 0x8F is a marker (or the end of the segment).
+    void byte_in() noexcept
+    {
+        if (at(bp_) == 0xFF) {
+            if (at(bp_ + 1) > 0x8F) {
+                c_ += 0xFF00;
+                ct_ = 8;
+            } else {
+                ++bp_;
+                c_ += at(bp_) << 9;
+                ct_ = 7;
+            }
+        } else {
+            ++bp_;
+            c_ += at(bp_) << 8;
+            ct_ = 8;
+        }
+    }
+
+    /// RENORMD: one shift per iteration, as in the Annex C flow chart.
+    void renorm() noexcept
+    {
+        do {
+            if (ct_ == 0) byte_in();
+            a_ <<= 1;
+            c_ <<= 1;
+            --ct_;
+        } while ((a_ & 0x8000) == 0);
+    }
 
     std::span<const std::uint8_t> in_{};
     std::size_t bp_ = 0;
@@ -126,7 +204,6 @@ private:
     std::uint32_t a_ = 0;
     int ct_ = 0;
     std::uint64_t decisions_ = 0;
-    mq_mode mode_ = mq_mode::reference;
 };
 
 }  // namespace j2k

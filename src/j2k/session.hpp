@@ -82,9 +82,9 @@ public:
     /// total segment payload, never L times it.
     [[nodiscard]] std::uint64_t tier1_segment_bytes() const noexcept;
 
-    /// Approximate bytes of persistent decoder state this session retains
-    /// (per-block magnitudes, flag planes, MQ contexts; the codestream span
-    /// is the caller's and not included).  Drives the byte budget of the
+    /// Bytes of persistent decoder state this session retains: each block
+    /// slot plus its tier1_block_decoder::resident_bytes() (the codestream
+    /// span is the caller's and not included).  Drives the byte budget of the
     /// runtime's decoded-result cache, which holds sessions as resumable
     /// prefixes.  Plain (single-layer) streams retain no block state: 0.
     [[nodiscard]] std::size_t resident_bytes() const noexcept;

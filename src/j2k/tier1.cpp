@@ -2,9 +2,9 @@
 
 #include "codestream.hpp"
 
-#include <array>
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace j2k {
@@ -12,9 +12,7 @@ namespace j2k {
 namespace {
 
 // Context numbering (indices into the per-block context array).
-constexpr int k_ctx_zc_base = 0;   // 0..8  zero coding
-constexpr int k_ctx_sc_base = 9;   // 9..13 sign coding
-constexpr int k_ctx_mr_base = 14;  // 14..16 magnitude refinement
+constexpr int k_ctx_mr_base = 14;  // 14..16 magnitude refinement (0..8 ZC, 9..13 SC)
 constexpr int k_ctx_rl = 17;       // run-length
 constexpr int k_ctx_uni = 18;      // uniform
 constexpr int k_num_ctx = 19;
@@ -22,7 +20,7 @@ constexpr int k_num_ctx = 19;
 /// Zero-coding context from neighbour significance counts, per Table D.1.
 /// h/v = number of significant horizontal/vertical neighbours (0..2),
 /// d = significant diagonals (0..4).
-int zc_context(int h, int v, int d, band orient) noexcept
+constexpr int zc_context(int h, int v, int d, band orient) noexcept
 {
     if (orient == band::hl) std::swap(h, v);  // HL: transpose the LL/LH table
     if (orient == band::hh) {
@@ -49,7 +47,7 @@ struct sc_info {
     int ctx;
     int xor_bit;
 };
-sc_info sc_context(int hc, int vc) noexcept
+constexpr sc_info sc_context(int hc, int vc) noexcept
 {
     if (hc == 1) {
         if (vc == 1) return {13, 0};
@@ -66,89 +64,101 @@ sc_info sc_context(int hc, int vc) noexcept
     return {13, 1};
 }
 
+// State-word bits (layout documented in tier1.hpp).
+constexpr std::uint32_t k_nw = 1u << 0, k_n = 1u << 1, k_ne = 1u << 2, k_w = 1u << 3,
+                        k_e = 1u << 4, k_sw = 1u << 5, k_s = 1u << 6, k_se = 1u << 7;
+constexpr std::uint32_t k_nbr = 0xFF;
+constexpr std::uint32_t k_neg_n = 1u << 8, k_neg_w = 1u << 9, k_neg_e = 1u << 10,
+                        k_neg_s = 1u << 11;
+constexpr std::uint32_t k_sig = 1u << 12, k_neg = 1u << 13, k_visit = 1u << 14,
+                        k_became = 1u << 15, k_refined = 1u << 16;
+
+/// Tables D.1 and D.3 flattened over the state word's low bits, generated
+/// from zc_context / sc_context above so the standard's tables exist once.
+struct context_luts {
+    std::array<std::array<std::uint8_t, 256>, 4> zc{};  ///< [orient][word & 0xFF]
+    std::array<std::uint8_t, 4096> sc{};  ///< [word & 0xFFF]: ctx | xor << 7
+};
+
+constexpr context_luts make_luts() noexcept
+{
+    context_luts t;
+    for (int o = 0; o < 4; ++o) {
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            const int h = !!(n & k_w) + !!(n & k_e);
+            const int v = !!(n & k_n) + !!(n & k_s);
+            const int d = !!(n & k_nw) + !!(n & k_ne) + !!(n & k_sw) + !!(n & k_se);
+            const int ctx = zc_context(h, v, d, static_cast<band>(o));
+            t.zc[o][n] = static_cast<std::uint8_t>(ctx);
+        }
+    }
+    for (std::uint32_t w = 0; w < 4096; ++w) {
+        const auto contrib = [w](std::uint32_t sig, std::uint32_t neg) {
+            return (w & sig) ? ((w & neg) ? -1 : 1) : 0;
+        };
+        const int hc = std::clamp(contrib(k_w, k_neg_w) + contrib(k_e, k_neg_e), -1, 1);
+        const int vc = std::clamp(contrib(k_n, k_neg_n) + contrib(k_s, k_neg_s), -1, 1);
+        const sc_info s = sc_context(hc, vc);
+        t.sc[w] = static_cast<std::uint8_t>(s.ctx | s.xor_bit << 7);
+    }
+    return t;
+}
+
+constexpr context_luts k_luts = make_luts();
+
 [[nodiscard]] std::pmr::memory_resource* mr_of(std::pmr::memory_resource* mr) noexcept
 {
     return mr ? mr : std::pmr::get_default_resource();
 }
 
-/// Per-sample coder state shared by encoder and decoder.  The vectors come
-/// from `mr` so a decode job can back them with its arena; defaulting to the
-/// heap keeps encoder paths and persistent session decoders unchanged.
+/// Per-block coder state shared by encoder and decoder: one state word per
+/// sample on a plane with a one-sample zero border (so neighbour access
+/// needs no bounds checks), magnitudes on an unpadded plane, and the MQ
+/// contexts.  Both planes come from `mr` so a decode job can back them with
+/// its arena.
 struct block_state {
     int w;
     int h;
-    band orient;
+    std::ptrdiff_t stride;                 // w + 2
+    const std::uint8_t* zc;                // Table D.1 row for the orientation
+    std::pmr::vector<std::uint32_t> word;  // (w+2)×(h+2)
     std::pmr::vector<std::uint32_t> mag;   // encoder: |coeff|; decoder: accumulated
-    std::pmr::vector<std::uint8_t> sign;   // 1 = negative
-    std::pmr::vector<std::uint8_t> sig;    // significant
-    std::pmr::vector<std::uint8_t> became; // became significant in current plane
-    std::pmr::vector<std::uint8_t> visited;// coded in SPP of current plane
-    std::pmr::vector<std::uint8_t> refined;// has had ≥1 refinement pass
     std::array<mq_context, k_num_ctx> cx{};
 
-    block_state(int width, int height, band o,
-                std::pmr::memory_resource* mr = nullptr)
-        : w{width}, h{height}, orient{o},
-          mag{mr_of(mr)}, sign{mr_of(mr)}, sig{mr_of(mr)}, became{mr_of(mr)},
-          visited{mr_of(mr)}, refined{mr_of(mr)}
+    block_state(int width, int height, band orient, std::pmr::memory_resource* mr)
+        : w{width}, h{height}, stride{width + 2},
+          zc{k_luts.zc[static_cast<std::size_t>(orient)].data()},
+          word(static_cast<std::size_t>(width + 2) * static_cast<std::size_t>(height + 2),
+               0u, mr_of(mr)),
+          mag(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), 0u,
+              mr_of(mr))
     {
-        const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
-        mag.assign(n, 0);
-        sign.assign(n, 0);
-        sig.assign(n, 0);
-        became.assign(n, 0);
-        visited.assign(n, 0);
-        refined.assign(n, 0);
-        reset_contexts();
+        cx[0].reset(4, 0);          // ZC context 0 starts at state 4
+        cx[k_ctx_rl].reset(3, 0);   // run-length starts at state 3
+        cx[k_ctx_uni].reset(46, 0); // uniform: non-adaptive state
     }
 
-    void reset_contexts()
+    [[nodiscard]] std::uint32_t* word_at(int x, int y) noexcept
     {
-        for (auto& c : cx) c.reset();
-        cx[k_ctx_zc_base + 0].reset(4, 0);  // ZC context 0 starts at state 4
-        cx[k_ctx_rl].reset(3, 0);           // run-length starts at state 3
-        cx[k_ctx_uni].reset(46, 0);         // uniform: non-adaptive state
+        return word.data() + (y + 1) * stride + x + 1;
     }
 
-    [[nodiscard]] std::size_t idx(int x, int y) const noexcept
+    /// Mark the sample at `p` significant and OR its significance (and, for
+    /// the four direct neighbours, its sign) into its 8 neighbours — the only
+    /// place neighbour state is written.
+    void become_significant(std::uint32_t* p, bool negative) noexcept
     {
-        return static_cast<std::size_t>(y) * static_cast<std::size_t>(w) + x;
-    }
-    [[nodiscard]] int sig_at(int x, int y) const noexcept
-    {
-        if (x < 0 || y < 0 || x >= w || y >= h) return 0;
-        return sig[idx(x, y)];
-    }
-    [[nodiscard]] int sign_contrib(int x, int y) const noexcept
-    {
-        if (!sig_at(x, y)) return 0;
-        return sign[idx(x, y)] ? -1 : 1;
-    }
-
-    [[nodiscard]] int zc_ctx(int x, int y) const noexcept
-    {
-        const int hn = sig_at(x - 1, y) + sig_at(x + 1, y);
-        const int vn = sig_at(x, y - 1) + sig_at(x, y + 1);
-        const int dn = sig_at(x - 1, y - 1) + sig_at(x + 1, y - 1) +
-                       sig_at(x - 1, y + 1) + sig_at(x + 1, y + 1);
-        return k_ctx_zc_base + zc_context(hn, vn, dn, orient);
-    }
-
-    [[nodiscard]] sc_info sc_ctx(int x, int y) const noexcept
-    {
-        const int hc = std::clamp(sign_contrib(x - 1, y) + sign_contrib(x + 1, y), -1, 1);
-        const int vc = std::clamp(sign_contrib(x, y - 1) + sign_contrib(x, y + 1), -1, 1);
-        return sc_context(hc, vc);
-    }
-
-    [[nodiscard]] int mr_ctx(int x, int y) const noexcept
-    {
-        if (refined[idx(x, y)]) return k_ctx_mr_base + 2;
-        const int any =
-            sig_at(x - 1, y) + sig_at(x + 1, y) + sig_at(x, y - 1) + sig_at(x, y + 1) +
-            sig_at(x - 1, y - 1) + sig_at(x + 1, y - 1) + sig_at(x - 1, y + 1) +
-            sig_at(x + 1, y + 1);
-        return k_ctx_mr_base + (any ? 1 : 0);
+        const std::ptrdiff_t s = stride;
+        const std::uint32_t neg = negative ? ~0u : 0u;
+        p[-s - 1] |= k_se;
+        p[-s] |= k_s | (k_neg_s & neg);
+        p[-s + 1] |= k_sw;
+        p[-1] |= k_e | (k_neg_e & neg);
+        p[1] |= k_w | (k_neg_w & neg);
+        p[s - 1] |= k_ne;
+        p[s] |= k_n | (k_neg_n & neg);
+        p[s + 1] |= k_nw;
+        *p |= k_sig | k_became | (k_neg & neg);
     }
 };
 
@@ -156,146 +166,182 @@ struct block_state {
 /// `int bit(mq_context&, int actual)` — the encoder codes `actual` and echoes
 /// it; the decoder ignores `actual` and returns the decoded decision.  Both
 /// sides therefore execute identical control flow over identical state.
+/// Each pass builds its own `IO` from the coder, so the decoder works on a
+/// local copy of the MQ registers for the length of the pass.
 template <typename IO>
 class engine {
 public:
-    engine(block_state& st, IO io) : s_{st}, io_{io} {}
+    engine(block_state& st, typename IO::coder& c) : s_{st}, coder_{c} {}
 
     std::uint64_t samples_visited = 0;
 
+    /// Coding pass `i` of the canonical sequence for `num_planes` planes: the
+    /// MSB plane gets only a cleanup pass, every other plane SPP, MRP, CUP.
+    void run_pass(int num_planes, int i)
+    {
+        const int plane = num_planes - 1 - (i + 2) / 3;
+        switch ((i + 2) % 3) {
+            case 0:
+                begin_plane();
+                significance_pass(plane);
+                break;
+            case 1: refinement_pass(plane); break;
+            default: cleanup_pass(plane); break;  // the MSB plane starts clean
+        }
+    }
+
+private:
+    void begin_plane() noexcept
+    {
+        for (auto& w : s_.word) w &= ~(k_visit | k_became);
+    }
+
     void significance_pass(int plane)
     {
-        for_each_stripe([&](int x, int y) {
-            const auto i = s_.idx(x, y);
-            if (s_.sig[i]) return;
-            const int ctx = s_.zc_ctx(x, y);
-            if (ctx == k_ctx_zc_base) return;  // no significant neighbours
-            ++samples_visited;
-            s_.visited[i] = 1;
-            const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-            if (io_.bit(s_.cx[ctx], actual)) code_becoming_significant(x, y, plane);
+        IO io{coder_};
+        mq_context* const cx = s_.cx.data();
+        const std::uint8_t* const zc = s_.zc;
+        std::uint64_t visited = 0;
+        for_each_sample(k_nbr, [&](std::uint32_t* p, std::uint32_t* m) {
+            const std::uint32_t w = *p;
+            if ((w & k_sig) || !(w & k_nbr)) return;
+            ++visited;
+            *p = w | k_visit;
+            if (io.bit(cx[zc[w & k_nbr]], (*m >> plane) & 1)) code_sign(io, p, m, plane);
         });
+        samples_visited += visited;
     }
 
     void refinement_pass(int plane)
     {
-        for_each_stripe([&](int x, int y) {
-            const auto i = s_.idx(x, y);
-            if (!s_.sig[i] || s_.became[i]) return;
-            ++samples_visited;
-            const int ctx = s_.mr_ctx(x, y);
-            const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-            const int bit = io_.bit(s_.cx[ctx], actual);
-            if constexpr (IO::is_decoder) {
-                s_.mag[i] |= static_cast<std::uint32_t>(bit) << plane;
-            }
-            s_.refined[i] = 1;
+        IO io{coder_};
+        mq_context* const cx = s_.cx.data();
+        std::uint64_t visited = 0;
+        for_each_sample(k_sig, [&](std::uint32_t* p, std::uint32_t* m) {
+            const std::uint32_t w = *p;
+            if ((w & (k_sig | k_became)) != k_sig) return;
+            ++visited;
+            const int ctx = (w & k_refined) ? k_ctx_mr_base + 2
+                                            : k_ctx_mr_base + ((w & k_nbr) ? 1 : 0);
+            const int bit = io.bit(cx[ctx], (*m >> plane) & 1);
+            if constexpr (IO::is_decoder) *m |= static_cast<std::uint32_t>(bit) << plane;
+            *p = w | k_refined;
         });
+        samples_visited += visited;
     }
 
     void cleanup_pass(int plane)
     {
-        for (int sy = 0; sy < s_.h; sy += 4) {
-            const int rows = std::min(4, s_.h - sy);
-            for (int x = 0; x < s_.w; ++x) {
-                int start = 0;
-                if (rows == 4 && column_is_quiet(x, sy)) {
+        IO io{coder_};
+        mq_context* const cx = s_.cx.data();
+        const std::uint8_t* const zc = s_.zc;
+        const int w = s_.w;
+        const int h = s_.h;
+        const std::ptrdiff_t s = s_.stride;
+        std::uint32_t* const word = s_.word_at(0, 0);
+        std::uint32_t* const mag = s_.mag.data();
+        std::uint64_t visited = 0;
+        for (int sy = 0; sy < h; sy += 4) {
+            const int rows = std::min(4, h - sy);
+            for (int x = 0; x < w; ++x) {
+                std::uint32_t* const p = word + sy * s + x;
+                std::uint32_t* const m = mag + sy * w + x;
+                int dy = 0;
+                if (rows == 4 &&
+                    !((p[0] | p[s] | p[2 * s] | p[3 * s]) & (k_sig | k_visit | k_nbr))) {
                     // Run-length mode: one decision covers the whole column.
-                    ++samples_visited;
-                    const int any = column_any_bit(x, sy, plane);
-                    if (io_.bit(s_.cx[k_ctx_rl], any) == 0) continue;
+                    ++visited;
+                    int first = 4;  // encoder: row of the first 1 bit
+                    if constexpr (!IO::is_decoder) first = first_one(m, w, plane);
+                    if (io.bit(cx[k_ctx_rl], first < 4) == 0) continue;
                     // Position of the first 1 bit: two uniform decisions.
-                    const int actual_pos = first_one_in_column(x, sy, plane);
-                    int pos = io_.bit(s_.cx[k_ctx_uni], (actual_pos >> 1) & 1) << 1;
-                    pos |= io_.bit(s_.cx[k_ctx_uni], actual_pos & 1);
-                    code_becoming_significant(x, sy + pos, plane);
-                    start = pos + 1;
+                    dy = io.bit(cx[k_ctx_uni], (first >> 1) & 1) << 1;
+                    dy |= io.bit(cx[k_ctx_uni], first & 1);
+                    code_sign(io, p + dy * s, m + dy * w, plane);
+                    ++dy;
                 }
-                for (int dy = start; dy < rows; ++dy) {
-                    const int y = sy + dy;
-                    const auto i = s_.idx(x, y);
-                    if (s_.sig[i] || s_.visited[i]) continue;
-                    ++samples_visited;
-                    const int ctx = s_.zc_ctx(x, y);
-                    const int actual = static_cast<int>((s_.mag[i] >> plane) & 1u);
-                    if (io_.bit(s_.cx[ctx], actual))
-                        code_becoming_significant(x, y, plane);
+                for (; dy < rows; ++dy) {
+                    std::uint32_t* const q = p + dy * s;
+                    if (*q & (k_sig | k_visit)) continue;
+                    ++visited;
+                    std::uint32_t* const mq = m + dy * w;
+                    if (io.bit(cx[zc[*q & k_nbr]], (*mq >> plane) & 1))
+                        code_sign(io, q, mq, plane);
                 }
+            }
+        }
+        samples_visited += visited;
+    }
+
+    void code_sign(IO& io, std::uint32_t* p, std::uint32_t* m, int plane)
+    {
+        const std::uint32_t sc = k_luts.sc[*p & 0xFFF];
+        const int xor_bit = static_cast<int>(sc >> 7);
+        const int coded = io.bit(s_.cx[sc & 0x7F], ((*p & k_neg) ? 1 : 0) ^ xor_bit);
+        if constexpr (IO::is_decoder) *m |= 1u << plane;
+        s_.become_significant(p, (coded ^ xor_bit) != 0);
+    }
+
+    /// First row offset (0..3) of the column at `m` whose bit at `plane` is 1,
+    /// or 4 if none.  Encoder only: the decoder's magnitudes are not known.
+    [[nodiscard]] static int first_one(const std::uint32_t* m, int w, int plane) noexcept
+    {
+        for (int dy = 0; dy < 4; ++dy)
+            if ((m[dy * w] >> plane) & 1u) return dy;
+        return 4;
+    }
+
+    /// Visit every sample in stripe order: 4-row stripes, column by column,
+    /// skipping full columns whose words have no bit of `any` set.  Geometry
+    /// is read into locals once: context updates are byte stores, which the
+    /// compiler must otherwise assume may alias it.
+    template <typename Fn>
+    void for_each_sample(std::uint32_t any, Fn&& fn)
+    {
+        const int w = s_.w;
+        const int h = s_.h;
+        const std::ptrdiff_t s = s_.stride;
+        std::uint32_t* const word = s_.word_at(0, 0);
+        std::uint32_t* const mag = s_.mag.data();
+        for (int sy = 0; sy < h; sy += 4) {
+            const int rows = std::min(4, h - sy);
+            for (int x = 0; x < w; ++x) {
+                std::uint32_t* p = word + sy * s + x;
+                std::uint32_t* m = mag + sy * w + x;
+                if (rows == 4 && !((p[0] | p[s] | p[2 * s] | p[3 * s]) & any)) continue;
+                for (int dy = 0; dy < rows; ++dy, p += s, m += w) fn(p, m);
             }
         }
     }
 
-    void begin_plane()
-    {
-        std::fill(s_.became.begin(), s_.became.end(), std::uint8_t{0});
-        std::fill(s_.visited.begin(), s_.visited.end(), std::uint8_t{0});
-    }
-
-private:
-    void code_becoming_significant(int x, int y, int plane)
-    {
-        const auto i = s_.idx(x, y);
-        const auto [ctx, xor_bit] = s_.sc_ctx(x, y);
-        const int actual_sign = s_.sign[i] ^ xor_bit;
-        const int coded = io_.bit(s_.cx[ctx], actual_sign);
-        if constexpr (IO::is_decoder) {
-            s_.sign[i] = static_cast<std::uint8_t>(coded ^ xor_bit);
-            s_.mag[i] |= 1u << plane;
-        }
-        s_.sig[i] = 1;
-        s_.became[i] = 1;
-    }
-
-    [[nodiscard]] bool column_is_quiet(int x, int sy) const
-    {
-        for (int dy = 0; dy < 4; ++dy) {
-            const int y = sy + dy;
-            if (s_.sig[s_.idx(x, y)] || s_.visited[s_.idx(x, y)]) return false;
-            if (s_.zc_ctx(x, y) != k_ctx_zc_base) return false;
-        }
-        return true;
-    }
-
-    [[nodiscard]] int column_any_bit(int x, int sy, int plane) const
-    {
-        return first_one_in_column(x, sy, plane) < 4 ? 1 : 0;
-    }
-
-    /// First row offset (0..3) whose bit at `plane` is 1, or 4 if none.
-    /// Only meaningful on the encoder side; the decoder never consumes it.
-    [[nodiscard]] int first_one_in_column(int x, int sy, int plane) const
-    {
-        for (int dy = 0; dy < 4; ++dy)
-            if ((s_.mag[s_.idx(x, sy + dy)] >> plane) & 1u) return dy;
-        return 4;
-    }
-
-    template <typename Fn>
-    void for_each_stripe(Fn&& fn)
-    {
-        for (int sy = 0; sy < s_.h; sy += 4)
-            for (int x = 0; x < s_.w; ++x)
-                for (int dy = 0; dy < 4 && sy + dy < s_.h; ++dy) fn(x, sy + dy);
-    }
-
     block_state& s_;
-    IO io_;
+    typename IO::coder& coder_;
 };
 
 struct encode_io {
+    using coder = mq_encoder;
     static constexpr bool is_decoder = false;
-    mq_encoder* enc;
+    explicit encode_io(mq_encoder& e) noexcept : enc{&e} {}
     int bit(mq_context& cx, int actual)
     {
         enc->encode(cx, actual);
         return actual;
     }
+    mq_encoder* enc;
 };
 
+/// Decodes on a copy of the decoder (registers for the pass) and writes it
+/// back when the pass ends.
 struct decode_io {
+    using coder = mq_decoder;
     static constexpr bool is_decoder = true;
-    mq_decoder* dec;
-    int bit(mq_context& cx, int /*actual*/) { return dec->decode(cx); }
+    explicit decode_io(mq_decoder& d) noexcept : home{&d}, dec{d} {}
+    ~decode_io() { *home = dec; }
+    decode_io(const decode_io&) = delete;
+    decode_io& operator=(const decode_io&) = delete;
+    int bit(mq_context& cx, int /*actual*/) noexcept { return dec.decode(cx); }
+    mq_decoder* home;
+    mq_decoder dec;
 };
 
 }  // namespace
@@ -303,70 +349,9 @@ struct decode_io {
 codeblock tier1_encode(const std::int32_t* coeffs, int w, int h, band orient)
 {
     if (w <= 0 || h <= 0) throw std::invalid_argument{"tier1_encode: empty block"};
-    block_state st{w, h, orient};
-    std::uint32_t maxmag = 0;
-    for (int i = 0; i < w * h; ++i) {
-        const std::int32_t v = coeffs[i];
-        st.mag[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(std::abs(v));
-        st.sign[static_cast<std::size_t>(i)] = v < 0 ? 1 : 0;
-        maxmag = std::max(maxmag, st.mag[static_cast<std::size_t>(i)]);
-    }
-    codeblock cb;
-    cb.width = w;
-    cb.height = h;
-    if (maxmag == 0) return cb;  // nothing to code
-
-    int planes = 0;
-    while (maxmag >> planes) ++planes;
-    cb.num_planes = planes;
-
-    mq_encoder enc;
-    engine<encode_io> eng{st, encode_io{&enc}};
-    for (int p = planes - 1; p >= 0; --p) {
-        eng.begin_plane();
-        if (p != planes - 1) {
-            eng.significance_pass(p);
-            eng.refinement_pass(p);
-        }
-        eng.cleanup_pass(p);
-    }
-    cb.data = enc.flush();
-    return cb;
+    layered_codeblock l = tier1_encode_layered(coeffs, w, h, orient, {0});
+    return codeblock{w, h, l.num_planes, std::move(l.segments.front().data)};
 }
-
-namespace {
-
-/// The canonical pass sequence for p magnitude planes: MSB plane gets only a
-/// cleanup pass; every other plane gets SPP, MRP, CUP.
-struct pass_ref {
-    int plane;
-    int kind;  // 0 = significance, 1 = refinement, 2 = cleanup
-};
-
-std::vector<pass_ref> pass_sequence(int num_planes)
-{
-    std::vector<pass_ref> seq;
-    for (int p = num_planes - 1; p >= 0; --p) {
-        if (p != num_planes - 1) {
-            seq.push_back({p, 0});
-            seq.push_back({p, 1});
-        }
-        seq.push_back({p, 2});
-    }
-    return seq;
-}
-
-template <typename IO>
-void run_pass(engine<IO>& eng, const pass_ref& pr)
-{
-    switch (pr.kind) {
-        case 0: eng.significance_pass(pr.plane); break;
-        case 1: eng.refinement_pass(pr.plane); break;
-        default: eng.cleanup_pass(pr.plane); break;
-    }
-}
-
-}  // namespace
 
 layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
                                        band orient,
@@ -376,48 +361,39 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
         throw std::invalid_argument{"tier1_encode_layered: empty block"};
     if (passes_per_layer.empty())
         throw std::invalid_argument{"tier1_encode_layered: no layers"};
-    block_state st{w, h, orient};
+    block_state st{w, h, orient, nullptr};
     std::uint32_t maxmag = 0;
-    for (int i = 0; i < w * h; ++i) {
-        const std::int32_t v = coeffs[i];
-        st.mag[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(std::abs(v));
-        st.sign[static_cast<std::size_t>(i)] = v < 0 ? 1 : 0;
-        maxmag = std::max(maxmag, st.mag[static_cast<std::size_t>(i)]);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const std::int32_t v = coeffs[y * w + x];
+            const auto m = static_cast<std::uint32_t>(std::abs(v));
+            st.mag[static_cast<std::size_t>(y * w + x)] = m;
+            if (v < 0) *st.word_at(x, y) = k_neg;
+            maxmag = std::max(maxmag, m);
+        }
     }
     layered_codeblock out;
     out.width = w;
     out.height = h;
     out.segments.resize(passes_per_layer.size());
-    if (maxmag == 0) return out;
+    if (maxmag == 0) return out;  // nothing to code
     int planes = 0;
     while (maxmag >> planes) ++planes;
     out.num_planes = planes;
 
-    const auto seq = pass_sequence(planes);
+    const int total = 3 * planes - 2;
     mq_encoder enc;
-    engine<encode_io> eng{st, encode_io{&enc}};
-    std::size_t pass_i = 0;
-    int last_plane = -1;
+    engine<encode_io> eng{st, enc};
+    int pass_i = 0;
     for (std::size_t layer = 0; layer < passes_per_layer.size(); ++layer) {
         // The last layer absorbs all remaining passes.
-        const std::size_t want = layer + 1 == passes_per_layer.size()
-                                     ? seq.size() - pass_i
-                                     : static_cast<std::size_t>(
-                                           std::max(0, passes_per_layer[layer]));
-        std::size_t done = 0;
-        while (done < want && pass_i < seq.size()) {
-            const pass_ref& pr = seq[pass_i];
-            if (pr.plane != last_plane && (pr.kind == 0 || pr.kind == 2)) {
-                // Entering a new plane (SPP, or CUP on the MSB plane).
-                if (pr.kind == 2 && pr.plane == planes - 1) eng.begin_plane();
-                if (pr.kind == 0) eng.begin_plane();
-                last_plane = pr.plane;
-            }
-            run_pass(eng, pr);
-            ++pass_i;
-            ++done;
-        }
-        out.segments[layer].passes = static_cast<int>(done);
+        const int want = layer + 1 == passes_per_layer.size()
+                             ? total - pass_i
+                             : std::max(0, passes_per_layer[layer]);
+        int done = 0;
+        for (; done < want && pass_i < total; ++done, ++pass_i)
+            eng.run_pass(planes, pass_i);
+        out.segments[layer].passes = done;
         // Terminate the codeword at the layer boundary; contexts persist.
         out.segments[layer].data = enc.flush();
         enc.init();
@@ -426,20 +402,19 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
 }
 
 /// Persistent state of a resumable block decoder: the shared coder state plus
-/// the cursor into the canonical pass sequence.
+/// the cursor into the canonical pass sequence.  Allocated from the same
+/// memory resource as its planes.
 struct tier1_block_decoder::state {
     block_state bs;
-    std::vector<pass_ref> seq;
-    std::size_t pass_i = 0;
-    int last_plane = -1;
-    int num_planes = 0;
+    int num_planes;
+    int pass_i = 0;
     int segments = 0;
-
-    state(int w, int h, int planes, band orient, std::pmr::memory_resource* mr)
-        : bs{w, h, orient, mr}, seq{pass_sequence(planes)}, num_planes{planes}
-    {
-    }
 };
+
+void tier1_block_decoder::state_deleter::operator()(state* s) const noexcept
+{
+    std::pmr::polymorphic_allocator<state>{s->bs.word.get_allocator()}.delete_object(s);
+}
 
 tier1_block_decoder::tier1_block_decoder(int width, int height, int num_planes,
                                          band orient,
@@ -451,7 +426,8 @@ tier1_block_decoder::tier1_block_decoder(int width, int height, int num_planes,
     // codestream error so hostile inputs stay inside the decode error contract.
     if (num_planes < 0 || num_planes > 31)
         throw codestream_error{"tier1_block_decoder: implausible plane count"};
-    st_ = std::make_unique<state>(width, height, num_planes, orient, mr);
+    st_.reset(std::pmr::polymorphic_allocator<state>{mr_of(mr)}.new_object<state>(
+        block_state{width, height, orient, mr}, num_planes));
 }
 
 tier1_block_decoder::~tier1_block_decoder() = default;
@@ -463,38 +439,38 @@ int tier1_block_decoder::width() const noexcept { return st_->bs.w; }
 int tier1_block_decoder::height() const noexcept { return st_->bs.h; }
 int tier1_block_decoder::segments_consumed() const noexcept { return st_->segments; }
 
+std::size_t tier1_block_decoder::resident_bytes() const noexcept
+{
+    const block_state& bs = st_->bs;
+    return sizeof(state) + (bs.word.size() + bs.mag.size()) * sizeof(std::uint32_t);
+}
+
 void tier1_block_decoder::advance(int passes, std::span<const std::uint8_t> data,
                                   tier1_stats* stats)
 {
     ++st_->segments;
-    if (st_->num_planes == 0 || passes <= 0) return;
+    const int total = st_->num_planes == 0 ? 0 : 3 * st_->num_planes - 2;
+    const int run = std::min(std::max(passes, 0), total - st_->pass_i);
+    if (run <= 0) return;
     mq_decoder dec{data};
-    engine<decode_io> eng{st_->bs, decode_io{&dec}};
-    std::uint64_t executed = 0;
-    for (int k = 0; k < passes && st_->pass_i < st_->seq.size(); ++k, ++st_->pass_i) {
-        const pass_ref& pr = st_->seq[st_->pass_i];
-        if (pr.plane != st_->last_plane && (pr.kind == 0 || pr.kind == 2)) {
-            if (pr.kind == 2 && pr.plane == st_->num_planes - 1) eng.begin_plane();
-            if (pr.kind == 0) eng.begin_plane();
-            st_->last_plane = pr.plane;
-        }
-        run_pass(eng, pr);
-        ++executed;
-    }
+    engine<decode_io> eng{st_->bs, dec};
+    for (int k = 0; k < run; ++k) eng.run_pass(st_->num_planes, st_->pass_i++);
     if (stats) {
         stats->mq_decisions += dec.decisions();
-        stats->passes += executed;
+        stats->passes += static_cast<std::uint64_t>(run);
         stats->samples += eng.samples_visited;
     }
 }
 
 void tier1_block_decoder::read(std::int32_t* out) const
 {
-    const block_state& bs = st_->bs;
-    const auto n = static_cast<std::size_t>(bs.w) * static_cast<std::size_t>(bs.h);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto m = static_cast<std::int32_t>(bs.mag[i]);
-        out[i] = bs.sign[i] ? -m : m;
+    block_state& bs = st_->bs;
+    const std::uint32_t* m = bs.mag.data();
+    for (int y = 0; y < bs.h; ++y) {
+        const std::uint32_t* p = bs.word_at(0, y);
+        for (int x = 0; x < bs.w; ++x, ++out, ++m)
+            *out = (p[x] & k_neg) ? -static_cast<std::int32_t>(*m)
+                                  : static_cast<std::int32_t>(*m);
     }
 }
 
@@ -504,15 +480,10 @@ void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
 {
     if (cb.width <= 0 || cb.height <= 0)
         throw std::invalid_argument{"tier1_decode_layered: empty block"};
-    const auto n = static_cast<std::size_t>(cb.width) * static_cast<std::size_t>(cb.height);
     // One batch decode is the resumable decoder fed every segment in turn —
     // a single code path keeps the incremental session bit-exact by
     // construction (num_planes validation happens in the constructor).
     tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient, mr};
-    if (cb.num_planes == 0) {
-        std::fill(out, out + n, 0);
-        return;
-    }
     const std::size_t use_layers =
         layers <= 0 ? cb.segments.size()
                     : std::min<std::size_t>(static_cast<std::size_t>(layers),
@@ -530,43 +501,10 @@ void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
 {
     if (cb.width <= 0 || cb.height <= 0)
         throw std::invalid_argument{"tier1_decode: empty block"};
-    // Stream data, same contract as tier1_decode_layered above.
-    if (cb.num_planes < 0 || cb.num_planes > 31)
-        throw codestream_error{"tier1_decode: implausible bit-plane count"};
-    const auto n = static_cast<std::size_t>(cb.width) * static_cast<std::size_t>(cb.height);
-    if (cb.num_planes == 0) {
-        std::fill(out, out + n, 0);
-        return;
-    }
-    block_state st{cb.width, cb.height, orient, mr};
-    mq_decoder dec{std::span<const std::uint8_t>{cb.data}};
-    engine<decode_io> eng{st, decode_io{&dec}};
-    std::uint64_t passes = 0;
-    const auto limit = [&] {
-        return max_passes > 0 && passes >= static_cast<std::uint64_t>(max_passes);
-    };
-    for (int p = cb.num_planes - 1; p >= 0 && !limit(); --p) {
-        eng.begin_plane();
-        if (p != cb.num_planes - 1) {
-            eng.significance_pass(p);
-            ++passes;
-            if (limit()) break;
-            eng.refinement_pass(p);
-            ++passes;
-            if (limit()) break;
-        }
-        eng.cleanup_pass(p);
-        ++passes;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto m = static_cast<std::int32_t>(st.mag[i]);
-        out[i] = st.sign[i] ? -m : m;
-    }
-    if (stats) {
-        stats->mq_decisions += dec.decisions();
-        stats->passes += passes;
-        stats->samples += eng.samples_visited;
-    }
+    // The whole codeword is one segment of a resumable decode.
+    tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient, mr};
+    dec.advance(max_passes > 0 ? max_passes : cb.pass_count(), cb.data, stats);
+    dec.read(out);
 }
 
 }  // namespace j2k

@@ -15,6 +15,23 @@
 //
 // This stage is the "arithmetic decoder" of the paper's Figure 1 — the block
 // that consumes ~88.8% (lossless) / 78.6% (lossy) of software decode time.
+//
+// Coder state (encoder and decoder run the same engine): one 32-bit word per
+// sample on a (w+2)×(h+2) plane whose one-sample border stays zero, plus an
+// unpadded u32 magnitude plane.  The word's bits:
+//
+//   0..7    neighbour significant: NW N NE W E SW S SE
+//   8..11   neighbour negative:    N W E S  (set together with its sig bit)
+//   12      significant            13  negative
+//   14      visited by this plane's significance pass
+//   15      became significant in this plane
+//   16      refined at least once
+//
+// A sample that becomes significant ORs its bits into its 8 neighbours; no
+// other code writes neighbour state.  Zero coding is then one lookup on bits
+// 0..7 (per orientation), sign coding one lookup on bits 0..11, and a cleanup
+// column qualifies for run-length mode when its 4 words have none of bits
+// 0..7, 12 and 14 set.
 #pragma once
 
 #include "dwt.hpp"
@@ -22,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -86,8 +104,8 @@ struct layered_codeblock {
 
 /// Decode the first `layers` segments (0 = all); exact for full decodes,
 /// progressively coarser for prefixes.  `mr`, when non-null, supplies the
-/// decoder's per-block scratch (significance maps, magnitudes, contexts) —
-/// pass a per-job arena to keep the hot path allocation-free.
+/// decoder's per-block state (state words, magnitudes, contexts) — pass a
+/// per-job arena to keep the hot path allocation-free.
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
                           band orient, int layers = 0,
                           tier1_stats* stats = nullptr,
@@ -104,7 +122,7 @@ class tier1_block_decoder {
 public:
     /// `num_planes` is stream data: implausible values throw codestream_error
     /// (empty geometry stays std::invalid_argument, as for tier1_decode).
-    /// `mr` backs the per-block coder state; leave it null (heap) for
+    /// `mr` backs all of the per-block coder state; leave it null (heap) for
     /// decoders that outlive a decode job — session slots deposited into the
     /// result cache must never reference a job-scoped arena.
     tier1_block_decoder(int width, int height, int num_planes, band orient,
@@ -130,9 +148,17 @@ public:
     [[nodiscard]] int height() const noexcept;
     [[nodiscard]] int segments_consumed() const noexcept;
 
+    /// Bytes this decoder holds, all of them allocated from its memory
+    /// resource: the state object, the padded state-word plane and the
+    /// magnitude plane.
+    [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
 private:
     struct state;
-    std::unique_ptr<state> st_;
+    struct state_deleter {
+        void operator()(state* s) const noexcept;
+    };
+    std::unique_ptr<state, state_deleter> st_;
 };
 
 /// Decode a code block back into signed coefficients; exact inverse of

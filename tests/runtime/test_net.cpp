@@ -941,6 +941,12 @@ TEST(NetSharded, ConnectionsSpreadAcrossShardsAndAllDecodeCorrectly)
         EXPECT_EQ(net::decode_image_raw(r.payload), serial);
     }
 
+    // A shard counts a response once its send() returns, which can be after
+    // the client has already read it; wait for the count to land.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (srv.stats().responses_out < static_cast<std::uint64_t>(conns) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const auto total = srv.stats();
     EXPECT_EQ(total.connections_accepted, static_cast<std::uint64_t>(conns));
     EXPECT_EQ(total.frames_in, static_cast<std::uint64_t>(conns));
