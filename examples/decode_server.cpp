@@ -45,6 +45,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,17 +145,7 @@ int run_serve(std::uint16_t port, std::size_t cache_bytes, int ops_port,
                 static_cast<unsigned long long>(st.connections_accepted),
                 static_cast<unsigned long long>(st.bytes_in),
                 static_cast<unsigned long long>(st.bytes_out));
-    if (cache_bytes) {
-        const auto m = srv.service().metrics();
-        std::printf("cache: hits=%llu misses=%llu collapses=%llu evictions=%llu "
-                    "session_resumes=%llu bytes=%llu\n",
-                    static_cast<unsigned long long>(m.cache_hits),
-                    static_cast<unsigned long long>(m.cache_misses),
-                    static_cast<unsigned long long>(m.cache_collapses),
-                    static_cast<unsigned long long>(m.cache_evictions),
-                    static_cast<unsigned long long>(m.cache_session_resumes),
-                    static_cast<unsigned long long>(m.cache_bytes));
-    }
+    std::printf("%s", srv.service().instruments().expose_text().c_str());
     return 0;
 }
 
@@ -369,7 +360,7 @@ int run_demo()
                     static_cast<unsigned long long>(st.layer_frames_out),
                     static_cast<unsigned long long>(m.jobs_progressive),
                     static_cast<unsigned long long>(m.t1_segment_bytes));
-        std::printf("\n%s\n", srv.service().metrics().dump().c_str());
+        std::printf("\n%s\n", srv.service().instruments().expose_text().c_str());
     }
 
     std::printf("=== phase 5: result cache serves repeats without decoding ===\n");
@@ -438,15 +429,10 @@ int run_demo()
         std::printf("  unknown codec byte 42 -> %s (\"%s\")\n",
                     net::status_name(rej.st), rej.message().c_str());
 
-        const auto m = srv.service().metrics();
-        for (const auto& c : m.by_codec)
-            std::printf("  codec %-9s completed=%llu unsupported=%llu "
-                        "cache hits=%llu misses=%llu\n",
-                        c.name.c_str(),
-                        static_cast<unsigned long long>(c.completed),
-                        static_cast<unsigned long long>(c.unsupported),
-                        static_cast<unsigned long long>(c.cache_hits),
-                        static_cast<unsigned long long>(c.cache_misses));
+        // The per-codec split: the codec-labelled families of the text dump.
+        std::istringstream text{srv.service().instruments().expose_text()};
+        for (std::string line; std::getline(text, line);)
+            if (line.rfind("codec_", 0) == 0) std::printf("  %s\n", line.c_str());
         srv.stop();
     }
 

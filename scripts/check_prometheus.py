@@ -12,6 +12,13 @@ Checks, line by line:
   * ``# TYPE``/``# HELP`` lines, when present, are well-formed
   * no raw control characters anywhere
 
+and, across lines, the grouping rules a generic renderer guarantees:
+  * at most one ``# TYPE`` line per family, and never after that family's
+    first sample
+  * a family's samples are contiguous (``x_sum``/``x_count``/``x_bucket``
+    belong to ``x`` when ``x`` is typed summary or histogram)
+  * no ``(name, labelset)`` sample repeats
+
 Any ``required_family`` arguments must appear as a sample's metric name
 (label sets and suffixes like ``_sum``/``_count`` don't count — the exact
 family must carry at least one sample).
@@ -46,10 +53,25 @@ def is_float(tok):
         return False
 
 
+def family_of(name, types):
+    """The family a sample name belongs to (summary/histogram suffixes fold)."""
+    if name not in types:
+        for suffix in ("_sum", "_count", "_bucket"):
+            base = name[: -len(suffix)]
+            if name.endswith(suffix) and types.get(base) in ("summary", "histogram"):
+                return base
+    return name
+
+
 def check(text):
     """Return (families_seen, errors)."""
     errors = []
     families = set()
+    types = {}  # family -> declared TYPE
+    sampled = set()  # families that already have a sample
+    finished = set()  # families whose sample run has ended
+    current = None  # family of the previous sample
+    seen_samples = set()  # (name, sorted label pairs)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -67,6 +89,13 @@ def check(text):
                     not in ("counter", "gauge", "histogram", "summary", "untyped")
                 ):
                     errors.append(f"line {lineno}: unknown TYPE {parts[3:]!r}")
+                elif parts[1] == "TYPE":
+                    fam = parts[2]
+                    if fam in types:
+                        errors.append(f"line {lineno}: second # TYPE for {fam}")
+                    elif fam in sampled:
+                        errors.append(f"line {lineno}: # TYPE for {fam} after its samples")
+                    types.setdefault(fam, parts[3])
             continue  # other comments are free-form
         m = SAMPLE.match(line)
         if not m:
@@ -74,11 +103,21 @@ def check(text):
             continue
         name, labelset, value = m.group(1), m.group(2), m.group(3)
         families.add(name)
+        fam = family_of(name, types)
+        if fam != current:
+            if fam in finished:
+                errors.append(f"line {lineno}: samples of {fam} are not contiguous")
+            if current is not None:
+                finished.add(current)
+            current = fam
+        sampled.add(fam)
+        pairs = []
         if labelset:
             body = labelset[1:-1].rstrip(",")
             consumed = 0
             for pm in LABEL_PAIR.finditer(body):
                 consumed = pm.end()
+                pairs.append((pm.group(1), pm.group(2)))
                 bad = re.search(r'\\[^\\"n]', pm.group(2))
                 if bad:
                     errors.append(
@@ -88,6 +127,10 @@ def check(text):
             leftover = body[consumed:].strip(", ")
             if leftover:
                 errors.append(f"line {lineno}: malformed label set near {leftover[:40]!r}")
+        key = (name, tuple(sorted(pairs)))
+        if key in seen_samples:
+            errors.append(f"line {lineno}: repeated sample {name}{labelset or ''}")
+        seen_samples.add(key)
         if not is_float(value):
             errors.append(f"line {lineno}: non-numeric value {value!r}")
     return families, errors

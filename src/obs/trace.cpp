@@ -12,11 +12,12 @@ namespace detail {
 
 std::atomic<bool> g_trace_enabled{false};
 
-void event_ring::drain(std::vector<trace_event>& out) const
+void event_ring::drain(std::vector<trace_event>& out, std::uint64_t since_ns) const
 {
     const std::uint64_t h = head_.load(std::memory_order_acquire);
     const std::uint64_t n = h < k_capacity ? h : k_capacity;
-    for (std::uint64_t i = h - n; i < h; ++i) {
+    const std::size_t first = out.size();
+    for (std::uint64_t i = h; i-- > h - n;) {
         const slot& s = slots_[i & (k_capacity - 1)];
         if (s.seq.load(std::memory_order_acquire) != i + 1) continue;  // mid-write
         trace_event ev;
@@ -31,8 +32,10 @@ void event_ring::drain(std::vector<trace_event>& out) const
         // payload word was seen the re-read below sees the invalidation too.
         std::atomic_thread_fence(std::memory_order_acquire);
         if (s.seq.load(std::memory_order_relaxed) != i + 1) continue;
+        if (ev.ts_ns < since_ns) break;
         out.push_back(ev);
     }
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
 namespace {
@@ -116,13 +119,7 @@ std::vector<trace_event> tracer::collect_since(std::uint64_t since_ns) const
         rings = rings_;
     }
     std::vector<trace_event> evs;
-    for (const auto& r : rings) r->drain(evs);
-    if (since_ns > 0)
-        evs.erase(std::remove_if(evs.begin(), evs.end(),
-                                 [since_ns](const trace_event& ev) {
-                                     return ev.ts_ns < since_ns;
-                                 }),
-                  evs.end());
+    for (const auto& r : rings) r->drain(evs, since_ns);
     std::stable_sort(evs.begin(), evs.end(),
                      [](const trace_event& a, const trace_event& b) {
                          return a.ts_ns < b.ts_ns;

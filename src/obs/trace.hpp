@@ -108,8 +108,10 @@ public:
         head_.store(h + 1, std::memory_order_release);
     }
 
-    /// Append every event still resident in the ring to `out` (oldest first).
-    void drain(std::vector<trace_event>& out) const;
+    /// Append the resident events stamped at or after `since_ns`, oldest first.
+    /// One thread pushes with a monotonic clock, so the scan runs newest first
+    /// and stops at the cursor: a tail costs its new events, not the ring.
+    void drain(std::vector<trace_event>& out, std::uint64_t since_ns) const;
 
     [[nodiscard]] std::uint32_t tid() const noexcept { return tid_; }
     [[nodiscard]] std::uint64_t pushed() const noexcept

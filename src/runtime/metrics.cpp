@@ -3,33 +3,16 @@
 #include <codec/backend.hpp>
 
 #include <chrono>
-#include <cstdio>
+#include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace runtime {
 
-namespace {
-
-/// Exposition name for a codec wire id: the registry name when the id is
-/// registered, the decimal id otherwise (unsupported-codec traffic has no
-/// backend to ask).
 std::string codec_metric_name(std::uint8_t id)
 {
     if (const codec::backend* b = codec::find_backend(id)) return std::string{b->name()};
     return std::to_string(static_cast<int>(id));
-}
-
-// Captured at static initialisation — close enough to process start for an
-// uptime metric, and free of any clock syscall on the read path's hot side.
-const std::chrono::steady_clock::time_point g_process_start =
-    std::chrono::steady_clock::now();
-
-}  // namespace
-
-double process_uptime_s() noexcept
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         g_process_start)
-        .count();
 }
 
 const char* build_type() noexcept
@@ -53,293 +36,143 @@ const char* compiler_version() noexcept
 }
 
 service_metrics::service_metrics()
-    : submitted_{reg_.get_counter("jobs_submitted")},
-      completed_{reg_.get_counter("jobs_completed")},
-      failed_{reg_.get_counter("jobs_failed")},
-      rejected_{reg_.get_counter("jobs_rejected")},
-      dropped_{reg_.get_counter("jobs_dropped")},
-      promoted_{reg_.get_counter("jobs_promoted")},
-      batched_{reg_.get_counter("jobs_batched")},
-      progressive_{reg_.get_counter("jobs_progressive")},
-      layers_{reg_.get_counter("layers_emitted")},
-      progressive_cancelled_{reg_.get_counter("progressive_cancelled")},
-      t1_bytes_{reg_.get_counter("t1_segment_bytes")},
-      progressive_active_{reg_.get_gauge("progressive_active")},
-      pool_submissions_{reg_.get_counter("pool_submissions")},
-      tiles_{reg_.get_counter("tiles_decoded")},
-      entropy_ns_{reg_.get_counter("stage_entropy_ns")},
-      iq_ns_{reg_.get_counter("stage_iq_ns")},
-      idwt_ns_{reg_.get_counter("stage_idwt_ns")},
-      finish_ns_{reg_.get_counter("stage_finish_ns")},
-      queue_depth_{reg_.get_gauge("queue_depth")},
-      latency_{reg_.get_histogram("latency_us")}
 {
     for (std::size_t p = 0; p < priority_count; ++p) {
-        const auto* name = priority_name(static_cast<priority>(p));
-        prio_depth_[p] = &reg_.get_gauge(std::string{"queue_depth_"} + name);
-        prio_latency_[p] = &reg_.get_histogram(std::string{"latency_"} + name + "_us");
-        prio_rejected_[p] = &reg_.get_counter(std::string{"jobs_rejected_"} + name);
-        prio_dropped_[p] = &reg_.get_counter(std::string{"jobs_dropped_"} + name);
+        const std::string pn = priority_name(static_cast<priority>(p));
+        prio_latency_[p] = &reg.get_histogram("priority_latency_us", {{"priority", pn}});
+        shed_[p].rejected =
+            &reg.get_counter("jobs_shed", {{"priority", pn}, {"kind", "rejected"}});
+        shed_[p].dropped =
+            &reg.get_counter("jobs_shed", {{"priority", pn}, {"kind", "dropped"}});
     }
+    reg.add_collector(obs::metric_type::counter, [this](obs::sample_sink& out) {
+        const char* stages[] = {"entropy", "iq", "idwt", "finish"};
+        for (std::size_t i = 0; i < stage_ns.size(); ++i)
+            out.add("stage_wall_seconds", stage_ns[i].value() / 1e9,
+                    {{"stage", stages[i]}});
+    });
 }
 
-service_metrics::codec_counters& service_metrics::codec_slot(std::uint8_t codec) noexcept
+void service_metrics::on_completed(
+    priority p, std::uint8_t codec,
+    std::chrono::steady_clock::time_point submitted) noexcept
 {
-    // Caller holds codec_m_.  Counters register against reg_ with a
-    // Prometheus label block in the name, which the generic expositions pass
-    // through verbatim (see ops_server's extra-counter handling).
-    const std::string name = codec_metric_name(codec);
-    auto it = codec_.find(name);
-    if (it == codec_.end()) {
-        codec_counters c;
-        c.completed = &reg_.get_counter("codec_jobs_completed{codec=\"" + name + "\"}");
-        c.failed = &reg_.get_counter("codec_jobs_failed{codec=\"" + name + "\"}");
-        c.unsupported =
-            &reg_.get_counter("codec_jobs_unsupported{codec=\"" + name + "\"}");
-        it = codec_.emplace(name, c).first;
-    }
-    return it->second;
-}
-
-void service_metrics::on_codec_completed(std::uint8_t codec) noexcept
-{
-    std::lock_guard lk{codec_m_};
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - submitted)
+                        .count();
+    latency_us.observe(static_cast<std::uint64_t>(us));
+    prio_latency_[static_cast<std::size_t>(p)]->observe(static_cast<std::uint64_t>(us));
+    jobs_completed.add();
     codec_slot(codec).completed->add();
 }
 
-void service_metrics::on_codec_failed(std::uint8_t codec) noexcept
+const service_metrics::codec_counters& service_metrics::bind_codec(
+    std::uint8_t codec) noexcept
 {
     std::lock_guard lk{codec_m_};
-    codec_slot(codec).failed->add();
+    codec_counters& c = codec_storage_[codec];
+    if (c.completed == nullptr) {
+        const obs::label_set label{{"codec", codec_metric_name(codec)}};
+        c.completed = &reg.get_counter("codec_jobs_completed", label);
+        c.failed = &reg.get_counter("codec_jobs_failed", label);
+        c.unsupported = &reg.get_counter("codec_jobs_unsupported", label);
+        codecs_[codec].store(&c, std::memory_order_release);
+    }
+    return c;
 }
 
-void service_metrics::on_codec_unsupported(std::uint8_t codec) noexcept
+std::vector<std::uint8_t> service_metrics::codecs_seen() const
 {
-    std::lock_guard lk{codec_m_};
-    codec_slot(codec).unsupported->add();
+    std::vector<std::uint8_t> ids;
+    for (std::size_t id = 0; id < codecs_.size(); ++id)
+        if (codecs_[id].load(std::memory_order_acquire))
+            ids.push_back(static_cast<std::uint8_t>(id));
+    return ids;
 }
 
-metrics_snapshot service_metrics::snapshot() const
+metrics_snapshot metrics_snapshot::from(const std::vector<obs::family>& families)
 {
-    metrics_snapshot s;
-    {
-        std::lock_guard lk{codec_m_};
-        s.by_codec.reserve(codec_.size());
-        for (const auto& [name, c] : codec_) {
-            metrics_snapshot::codec_entry e;
-            e.name = name;
-            e.completed = c.completed->value();
-            e.failed = c.failed->value();
-            e.unsupported = c.unsupported->value();
-            s.by_codec.push_back(std::move(e));
+    // The unlabelled families a bench or test reads, by field.
+    using field = std::uint64_t metrics_snapshot::*;
+    static const std::unordered_map<std::string_view, field> k_scalars = {
+        {"jobs_submitted", &metrics_snapshot::jobs_submitted},
+        {"jobs_completed", &metrics_snapshot::jobs_completed},
+        {"jobs_failed", &metrics_snapshot::jobs_failed},
+        {"jobs_rejected", &metrics_snapshot::jobs_rejected},
+        {"jobs_dropped", &metrics_snapshot::jobs_dropped},
+        {"jobs_promoted", &metrics_snapshot::jobs_promoted},
+        {"jobs_batched", &metrics_snapshot::jobs_batched},
+        {"jobs_progressive", &metrics_snapshot::jobs_progressive},
+        {"layers_emitted", &metrics_snapshot::layers_emitted},
+        {"t1_segment_bytes", &metrics_snapshot::t1_segment_bytes},
+        {"cache_hits", &metrics_snapshot::cache_hits},
+        {"cache_misses", &metrics_snapshot::cache_misses},
+        {"cache_collapses", &metrics_snapshot::cache_collapses},
+        {"cache_evictions", &metrics_snapshot::cache_evictions},
+        {"cache_session_resumes", &metrics_snapshot::cache_session_resumes},
+        {"cache_bytes", &metrics_snapshot::cache_bytes},
+        {"cache_pinned_bytes", &metrics_snapshot::cache_pinned_bytes},
+        {"cache_entries", &metrics_snapshot::cache_entries},
+        {"cache_session_entries", &metrics_snapshot::cache_session_entries},
+        {"arena_fallback_allocs", &metrics_snapshot::arena_fallback_allocs},
+        {"arena_high_water_bytes", &metrics_snapshot::arena_high_water_bytes},
+        {"tiles_decoded", &metrics_snapshot::tiles_decoded},
+        {"tasks_stolen", &metrics_snapshot::tasks_stolen},
+        {"pool_submissions", &metrics_snapshot::pool_submissions},
+    };
+    auto label = [](const obs::sample& s, std::string_view key) -> std::string_view {
+        for (const auto& [k, v] : s.labels)
+            if (k == key) return v;
+        return {};
+    };
+    auto prio = [&](const obs::sample& s) {
+        return label(s, "priority") == priority_name(priority::interactive) ? 0u : 1u;
+    };
+    const std::unordered_map<std::string_view, std::uint64_t codec_entry::*> k_codec = {
+        {"codec_jobs_completed", &codec_entry::completed},
+        {"codec_jobs_failed", &codec_entry::failed},
+        {"codec_jobs_unsupported", &codec_entry::unsupported},
+        {"codec_cache_hits", &codec_entry::cache_hits},
+        {"codec_cache_misses", &codec_entry::cache_misses},
+    };
+
+    metrics_snapshot m;
+    std::map<std::string, codec_entry> codecs;  // by name
+    for (const obs::family& f : families) {
+        for (const obs::sample& s : f.samples) {
+            if (const auto it = k_scalars.find(f.name); it != k_scalars.end()) {
+                m.*(it->second) = static_cast<std::uint64_t>(s.value);
+            } else if (f.name == "queue_depth") {
+                m.queue_depth_high_water =
+                    static_cast<std::uint64_t>(s.high_water.value_or(0));
+            } else if (f.name == "jobs_shed") {
+                auto& shed = m.shed_by_priority[prio(s)];
+                (label(s, "kind") == "rejected" ? shed.rejected : shed.dropped) =
+                    static_cast<std::uint64_t>(s.value);
+            } else if (f.name == "stage_wall_seconds") {
+                const std::string_view st = label(s, "stage");
+                double& ms = st == "entropy" ? m.entropy_ms
+                             : st == "iq"    ? m.iq_ms
+                             : st == "idwt"  ? m.idwt_ms
+                                             : m.finish_ms;
+                ms = s.value * 1e3;
+            } else if (f.name == "latency_us") {
+                m.latency_count = s.hist->count;
+                m.latency_mean_us = s.hist->mean();
+                m.latency_p50_us = s.hist->quantile(0.5);
+                m.latency_p95_us = s.hist->quantile(0.95);
+                m.latency_p99_us = s.hist->quantile(0.99);
+            } else if (f.name == "priority_latency_us") {
+                m.latency_by_priority[prio(s)] = {s.hist->count, s.hist->quantile(0.5),
+                                                  s.hist->quantile(0.99)};
+            } else if (const auto c = k_codec.find(f.name); c != k_codec.end()) {
+                codec_entry& e = codecs[std::string{label(s, "codec")}];
+                e.*(c->second) = static_cast<std::uint64_t>(s.value);
+            }
         }
     }
-    s.jobs_submitted = submitted_.value();
-    s.jobs_completed = completed_.value();
-    s.jobs_failed = failed_.value();
-    s.jobs_rejected = rejected_.value();
-    s.jobs_dropped = dropped_.value();
-    s.jobs_promoted = promoted_.value();
-    s.jobs_batched = batched_.value();
-    s.queue_depth_high_water = static_cast<std::uint64_t>(queue_depth_.max());
-    s.jobs_progressive = progressive_.value();
-    s.layers_emitted = layers_.value();
-    s.progressive_cancelled = progressive_cancelled_.value();
-    s.t1_segment_bytes = t1_bytes_.value();
-    s.progressive_active_high_water = static_cast<std::uint64_t>(progressive_active_.max());
-    s.tiles_decoded = tiles_.value();
-    s.pool_submissions = pool_submissions_.value();
-    for (std::size_t p = 0; p < priority_count; ++p) {
-        s.shed_by_priority[p].rejected = prio_rejected_[p]->value();
-        s.shed_by_priority[p].dropped = prio_dropped_[p]->value();
-    }
-    s.entropy_ms = static_cast<double>(entropy_ns_.value()) / 1e6;
-    s.iq_ms = static_cast<double>(iq_ns_.value()) / 1e6;
-    s.idwt_ms = static_cast<double>(idwt_ns_.value()) / 1e6;
-    s.finish_ms = static_cast<double>(finish_ns_.value()) / 1e6;
-    const auto lat = latency_.snapshot();
-    s.latency_count = lat.count;
-    s.latency_mean_us = lat.mean();
-    s.latency_max_us = lat.max;
-    s.latency_p50_us = lat.quantile(0.50);
-    s.latency_p95_us = lat.quantile(0.95);
-    s.latency_p99_us = lat.quantile(0.99);
-    for (std::size_t p = 0; p < priority_count; ++p) {
-        const auto pl = prio_latency_[p]->snapshot();
-        s.latency_by_priority[p].count = pl.count;
-        s.latency_by_priority[p].p50_us = pl.quantile(0.50);
-        s.latency_by_priority[p].p99_us = pl.quantile(0.99);
-    }
-    return s;
-}
-
-std::string metrics_snapshot::dump() const
-{
-    char buf[4096];
-    std::snprintf(
-        buf, sizeof buf,
-        "process: uptime=%.1fs pool_threads=%d tracing_armed=%d build=%s "
-        "compiler=\"%s\"\n"
-        "jobs: submitted=%llu completed=%llu failed=%llu rejected=%llu dropped=%llu "
-        "promoted=%llu batched=%llu\n"
-        "shed by priority: interactive rejected=%llu dropped=%llu | "
-        "batch rejected=%llu dropped=%llu\n"
-        "queue: high_water=%llu\n"
-        "progressive: jobs=%llu layers=%llu cancelled=%llu t1_bytes=%llu "
-        "active_high_water=%llu\n"
-        "cache: hits=%llu misses=%llu collapses=%llu evictions=%llu "
-        "session_resumes=%llu bytes=%llu pinned=%llu entries=%llu sessions=%llu\n"
-        "kernels: isa=%s\n"
-        "arena: capacity=%llu leases=%llu dry=%llu fallback_allocs=%llu "
-        "high_water=%llu\n"
-        "work: tiles_decoded=%llu tasks_stolen=%llu pool_submissions=%llu\n"
-        "stage wall time [ms]: entropy=%.2f iq=%.2f idwt=%.2f finish=%.2f\n"
-        "latency [us]: n=%llu mean=%.0f p50=%.0f p95=%.0f p99=%.0f max=%llu\n"
-        "latency interactive [us]: n=%llu p50=%.0f p99=%.0f\n"
-        "latency batch [us]: n=%llu p50=%.0f p99=%.0f\n",
-        uptime_s, pool_threads, tracing_armed ? 1 : 0, build, compiler,
-        static_cast<unsigned long long>(jobs_submitted),
-        static_cast<unsigned long long>(jobs_completed),
-        static_cast<unsigned long long>(jobs_failed),
-        static_cast<unsigned long long>(jobs_rejected),
-        static_cast<unsigned long long>(jobs_dropped),
-        static_cast<unsigned long long>(jobs_promoted),
-        static_cast<unsigned long long>(jobs_batched),
-        static_cast<unsigned long long>(shed_by_priority[0].rejected),
-        static_cast<unsigned long long>(shed_by_priority[0].dropped),
-        static_cast<unsigned long long>(shed_by_priority[1].rejected),
-        static_cast<unsigned long long>(shed_by_priority[1].dropped),
-        static_cast<unsigned long long>(queue_depth_high_water),
-        static_cast<unsigned long long>(jobs_progressive),
-        static_cast<unsigned long long>(layers_emitted),
-        static_cast<unsigned long long>(progressive_cancelled),
-        static_cast<unsigned long long>(t1_segment_bytes),
-        static_cast<unsigned long long>(progressive_active_high_water),
-        static_cast<unsigned long long>(cache_hits),
-        static_cast<unsigned long long>(cache_misses),
-        static_cast<unsigned long long>(cache_collapses),
-        static_cast<unsigned long long>(cache_evictions),
-        static_cast<unsigned long long>(cache_session_resumes),
-        static_cast<unsigned long long>(cache_bytes),
-        static_cast<unsigned long long>(cache_pinned_bytes),
-        static_cast<unsigned long long>(cache_entries),
-        static_cast<unsigned long long>(cache_session_entries), kernel_isa,
-        static_cast<unsigned long long>(arena_capacity_bytes),
-        static_cast<unsigned long long>(arena_leases),
-        static_cast<unsigned long long>(arena_dry_acquires),
-        static_cast<unsigned long long>(arena_fallback_allocs),
-        static_cast<unsigned long long>(arena_high_water_bytes),
-        static_cast<unsigned long long>(tiles_decoded),
-        static_cast<unsigned long long>(tasks_stolen),
-        static_cast<unsigned long long>(pool_submissions), entropy_ms, iq_ms, idwt_ms,
-        finish_ms, static_cast<unsigned long long>(latency_count), latency_mean_us,
-        latency_p50_us, latency_p95_us, latency_p99_us,
-        static_cast<unsigned long long>(latency_max_us),
-        static_cast<unsigned long long>(latency_by_priority[0].count),
-        latency_by_priority[0].p50_us, latency_by_priority[0].p99_us,
-        static_cast<unsigned long long>(latency_by_priority[1].count),
-        latency_by_priority[1].p50_us, latency_by_priority[1].p99_us);
-    return buf;
-}
-
-std::string metrics_snapshot::to_json() const
-{
-    // Build/compiler strings come from macros and can in principle hold any
-    // characters, so they go through the shared JSON escaper.
-    char proc[512];
-    std::snprintf(proc, sizeof proc,
-                  "{\"process\":{\"uptime_s\":%.3f,\"pool_threads\":%d,"
-                  "\"tracing_armed\":%s,\"build_type\":%s,\"compiler\":%s},",
-                  uptime_s, pool_threads, tracing_armed ? "true" : "false",
-                  obs::json_quote(build).c_str(), obs::json_quote(compiler).c_str());
-    char buf[4096];
-    std::snprintf(
-        buf, sizeof buf,
-        "\"jobs_submitted\":%llu,\"jobs_completed\":%llu,\"jobs_failed\":%llu,"
-        "\"jobs_rejected\":%llu,\"jobs_dropped\":%llu,\"jobs_promoted\":%llu,"
-        "\"jobs_batched\":%llu,"
-        "\"shed_interactive\":{\"rejected\":%llu,\"dropped\":%llu},"
-        "\"shed_batch\":{\"rejected\":%llu,\"dropped\":%llu},"
-        "\"queue_depth_high_water\":%llu,"
-        "\"jobs_progressive\":%llu,\"layers_emitted\":%llu,"
-        "\"progressive_cancelled\":%llu,\"t1_segment_bytes\":%llu,"
-        "\"progressive_active_high_water\":%llu,"
-        "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"collapses\":%llu,"
-        "\"evictions\":%llu,\"session_resumes\":%llu,\"bytes\":%llu,"
-        "\"pinned_bytes\":%llu,\"entries\":%llu,\"session_entries\":%llu},"
-        "\"kernel_isa\":%s,"
-        "\"arena\":{\"capacity_bytes\":%llu,\"leases\":%llu,\"dry_acquires\":%llu,"
-        "\"fallback_allocs\":%llu,\"high_water_bytes\":%llu},"
-        "\"tiles_decoded\":%llu,\"tasks_stolen\":%llu,\"pool_submissions\":%llu,"
-        "\"entropy_ms\":%.3f,\"iq_ms\":%.3f,\"idwt_ms\":%.3f,"
-        "\"finish_ms\":%.3f,\"latency_count\":%llu,\"latency_mean_us\":%.1f,"
-        "\"latency_p50_us\":%.1f,\"latency_p95_us\":%.1f,\"latency_p99_us\":%.1f,"
-        "\"latency_max_us\":%llu,"
-        "\"latency_interactive\":{\"count\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f},"
-        "\"latency_batch\":{\"count\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f}",
-        static_cast<unsigned long long>(jobs_submitted),
-        static_cast<unsigned long long>(jobs_completed),
-        static_cast<unsigned long long>(jobs_failed),
-        static_cast<unsigned long long>(jobs_rejected),
-        static_cast<unsigned long long>(jobs_dropped),
-        static_cast<unsigned long long>(jobs_promoted),
-        static_cast<unsigned long long>(jobs_batched),
-        static_cast<unsigned long long>(shed_by_priority[0].rejected),
-        static_cast<unsigned long long>(shed_by_priority[0].dropped),
-        static_cast<unsigned long long>(shed_by_priority[1].rejected),
-        static_cast<unsigned long long>(shed_by_priority[1].dropped),
-        static_cast<unsigned long long>(queue_depth_high_water),
-        static_cast<unsigned long long>(jobs_progressive),
-        static_cast<unsigned long long>(layers_emitted),
-        static_cast<unsigned long long>(progressive_cancelled),
-        static_cast<unsigned long long>(t1_segment_bytes),
-        static_cast<unsigned long long>(progressive_active_high_water),
-        static_cast<unsigned long long>(cache_hits),
-        static_cast<unsigned long long>(cache_misses),
-        static_cast<unsigned long long>(cache_collapses),
-        static_cast<unsigned long long>(cache_evictions),
-        static_cast<unsigned long long>(cache_session_resumes),
-        static_cast<unsigned long long>(cache_bytes),
-        static_cast<unsigned long long>(cache_pinned_bytes),
-        static_cast<unsigned long long>(cache_entries),
-        static_cast<unsigned long long>(cache_session_entries),
-        obs::json_quote(kernel_isa).c_str(),
-        static_cast<unsigned long long>(arena_capacity_bytes),
-        static_cast<unsigned long long>(arena_leases),
-        static_cast<unsigned long long>(arena_dry_acquires),
-        static_cast<unsigned long long>(arena_fallback_allocs),
-        static_cast<unsigned long long>(arena_high_water_bytes),
-        static_cast<unsigned long long>(tiles_decoded),
-        static_cast<unsigned long long>(tasks_stolen),
-        static_cast<unsigned long long>(pool_submissions), entropy_ms, iq_ms, idwt_ms,
-        finish_ms, static_cast<unsigned long long>(latency_count), latency_mean_us,
-        latency_p50_us, latency_p95_us, latency_p99_us,
-        static_cast<unsigned long long>(latency_max_us),
-        static_cast<unsigned long long>(latency_by_priority[0].count),
-        latency_by_priority[0].p50_us, latency_by_priority[0].p99_us,
-        static_cast<unsigned long long>(latency_by_priority[1].count),
-        latency_by_priority[1].p50_us, latency_by_priority[1].p99_us);
-
-    std::string codecs = ",\"by_codec\":{";
-    bool first = true;
-    for (const auto& c : by_codec) {
-        if (!first) codecs += ',';
-        first = false;
-        char cb[256];
-        std::snprintf(cb, sizeof cb,
-                      "%s:{\"completed\":%llu,\"failed\":%llu,"
-                      "\"unsupported\":%llu,\"cache_hits\":%llu,"
-                      "\"cache_misses\":%llu}",
-                      obs::json_quote(c.name).c_str(),
-                      static_cast<unsigned long long>(c.completed),
-                      static_cast<unsigned long long>(c.failed),
-                      static_cast<unsigned long long>(c.unsupported),
-                      static_cast<unsigned long long>(c.cache_hits),
-                      static_cast<unsigned long long>(c.cache_misses));
-        codecs += cb;
-    }
-    codecs += "}}";
-    return std::string{proc} + buf + codecs;
+    for (auto& [name, e] : codecs) m.by_codec.emplace_back(std::move(e)).name = name;
+    return m;
 }
 
 }  // namespace runtime

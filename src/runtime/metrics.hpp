@@ -1,57 +1,34 @@
 // runtime/metrics.hpp — decode-service metrics, as a thin client of the
 // generic obs:: layer (see src/obs/metrics.hpp and docs/OBSERVABILITY.md).
 //
-// Each decode_service owns one obs::registry; the named instruments below are
-// references bound once at construction, so the hot path is exactly what it
-// was when these were hand-rolled atomics: a handful of relaxed RMWs.
-// `snapshot()` keeps the historical flat struct (and its dump()/to_json())
-// for benches and dashboards; `instruments()` exposes the registry itself for
-// generic text/JSON exposition.
+// Each decode_service owns one obs::registry and declares every service
+// metric there once: instruments below (the hot path is a relaxed add), and
+// collectors for values its queue, pool, cache and arenas own.
+// `snapshot()` is a typed query over the collected families.
 #pragma once
 
 #include "queue.hpp"
 
 #include <obs/obs.hpp>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace runtime {
 
-/// Log2-bucketed histogram (promoted to obs::; alias kept for existing users).
-using latency_histogram = obs::log2_histogram;
-
-/// Seconds since the process (strictly: this translation unit's static
-/// initialisation) started — the uptime every exposition surface reports.
-[[nodiscard]] double process_uptime_s() noexcept;
-
 /// Compile-time build description ("RelWithDebInfo" etc.; "unknown" when the
 /// build system did not say) and the compiler version string.
 [[nodiscard]] const char* build_type() noexcept;
 [[nodiscard]] const char* compiler_version() noexcept;
 
-/// Point-in-time copy of every service metric.
+/// Typed view of the service families that benches and tests read.  Every
+/// field is filled from obs::registry::collect(); /metrics carries more.
 struct metrics_snapshot {
-    // Process metadata (filled by decode_service::metrics(); zero/empty in a
-    // bare service_metrics::snapshot()).
-    double uptime_s = 0.0;
-    int pool_threads = 0;
-    bool tracing_armed = false;      ///< obs tracer armed at snapshot time
-    const char* build = "";          ///< build type (static string)
-    const char* compiler = "";       ///< compiler version (static string)
-
-    // Kernel dispatch + per-job arena pool (filled by decode_service::
-    // metrics(); empty/zero in a bare service_metrics::snapshot()).
-    const char* kernel_isa = "";     ///< resolved SIMD tier: "scalar" / "avx2"
-    std::uint64_t arena_capacity_bytes = 0;  ///< per-arena size (0 = pooling off)
-    std::uint64_t arena_leases = 0;          ///< jobs that requested an arena
-    std::uint64_t arena_dry_acquires = 0;    ///< acquire() found the pool empty
-    std::uint64_t arena_fallback_allocs = 0; ///< scratch spills to the heap
-    std::uint64_t arena_high_water_bytes = 0;
-
     // Admission.
     std::uint64_t jobs_submitted = 0;
     std::uint64_t jobs_completed = 0;
@@ -74,15 +51,11 @@ struct metrics_snapshot {
     // Progressive (layer-streaming) jobs.
     std::uint64_t jobs_progressive = 0;        ///< jobs via submit_progressive
     std::uint64_t layers_emitted = 0;          ///< refinement images delivered
-    std::uint64_t progressive_cancelled = 0;   ///< sessions ended early by callback
     /// Tier-1 segment bytes arithmetic-decoded by progressive sessions — the
     /// O(L) evidence: approaches the streams' total payload, never L× it.
     std::uint64_t t1_segment_bytes = 0;
-    std::uint64_t progressive_active_high_water = 0;
 
-    // Decoded-result cache (all zero when the service runs without one; the
-    // live counters are owned by the cache itself and merged at snapshot
-    // time by decode_service::metrics()).
+    // Decoded-result cache (all zero when the service runs without one).
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;     ///< flights led == decodes actually run
     std::uint64_t cache_collapses = 0;  ///< requests folded into a leader's flight
@@ -92,6 +65,10 @@ struct metrics_snapshot {
     std::uint64_t cache_pinned_bytes = 0;
     std::uint64_t cache_entries = 0;
     std::uint64_t cache_session_entries = 0;
+
+    // Per-job arena pool.
+    std::uint64_t arena_fallback_allocs = 0;  ///< scratch spills to the heap
+    std::uint64_t arena_high_water_bytes = 0;
 
     // Work.
     std::uint64_t tiles_decoded = 0;
@@ -110,7 +87,6 @@ struct metrics_snapshot {
     // End-to-end job latency (submit → future ready), queue wait included.
     std::uint64_t latency_count = 0;
     double latency_mean_us = 0.0;
-    std::uint64_t latency_max_us = 0;
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;
@@ -131,121 +107,109 @@ struct metrics_snapshot {
         std::uint64_t completed = 0;
         std::uint64_t failed = 0;
         std::uint64_t unsupported = 0;  ///< jobs refused: id not registered
-        std::uint64_t cache_hits = 0;   ///< merged by decode_service::metrics()
+        std::uint64_t cache_hits = 0;
         std::uint64_t cache_misses = 0;
     };
     std::vector<codec_entry> by_codec;
 
-    /// Multi-line human-readable dump.
-    [[nodiscard]] std::string dump() const;
-    /// Single JSON object (stable keys, machine-readable).
-    [[nodiscard]] std::string to_json() const;
+    /// Fill from collected families (fields whose family is absent stay 0).
+    [[nodiscard]] static metrics_snapshot from(const std::vector<obs::family>& families);
 };
 
+/// Exposition name for a codec wire id: the registry name when the id is
+/// registered, the decimal id otherwise (unsupported-codec traffic has no
+/// backend to ask).
+[[nodiscard]] std::string codec_metric_name(std::uint8_t id);
+
 /// Live metric registers, shared by every worker of one decode_service.
-class service_metrics {
-public:
+/// Each public member is a service metric's one declaration: the registry
+/// family it names is what /metrics, JSON, the text dump and snapshot() show.
+struct service_metrics {
     service_metrics();
 
-    void on_submitted() noexcept { submitted_.add(); }
-    void on_completed() noexcept { completed_.add(); }
-    void on_failed() noexcept { failed_.add(); }
+    obs::registry reg;
+    obs::counter& jobs_submitted = reg.get_counter("jobs_submitted");
+    obs::counter& jobs_completed = reg.get_counter("jobs_completed");
+    obs::counter& jobs_failed = reg.get_counter("jobs_failed");
+    obs::counter& jobs_rejected = reg.get_counter("jobs_rejected");
+    obs::counter& jobs_dropped = reg.get_counter("jobs_dropped");
+    obs::counter& jobs_batched = reg.get_counter("jobs_batched");
+    obs::counter& jobs_progressive = reg.get_counter("jobs_progressive");
+    obs::counter& layers_emitted = reg.get_counter("layers_emitted");
+    obs::counter& progressive_cancelled = reg.get_counter("progressive_cancelled");
+    obs::counter& t1_segment_bytes = reg.get_counter("t1_segment_bytes");
+    obs::gauge& progressive_active = reg.get_gauge("progressive_active");
+    obs::counter& pool_submissions = reg.get_counter("pool_submissions");
+    obs::counter& tiles_decoded = reg.get_counter("tiles_decoded");
+    /// Submit → settle, queue wait included.
+    obs::log2_histogram& latency_us = reg.get_histogram("latency_us");
+    /// Per-stage wall time (entropy, iq, idwt, finish) accumulated by
+    /// obs::stage_timer; exposed in seconds as stage_wall_seconds{stage}.
+    std::array<obs::counter, 4> stage_ns;
+
     void on_rejected(priority p) noexcept
     {
-        rejected_.add();
-        prio_rejected_[static_cast<std::size_t>(p)]->add();
+        jobs_rejected.add();
+        shed_[static_cast<std::size_t>(p)].rejected->add();
     }
     void on_dropped(priority p) noexcept
     {
-        dropped_.add();
-        prio_dropped_[static_cast<std::size_t>(p)]->add();
+        jobs_dropped.add();
+        shed_[static_cast<std::size_t>(p)].dropped->add();
     }
-    void on_promoted() noexcept { promoted_.add(); }
-    void on_batched() noexcept { batched_.add(); }
     void on_progressive_started() noexcept
     {
-        progressive_.add();
-        progressive_active_.add(1);
+        jobs_progressive.add();
+        progressive_active.add(1);
     }
-    void on_progressive_finished() noexcept { progressive_active_.add(-1); }
-    void on_layer_emitted() noexcept { layers_.add(); }
-    void on_progressive_cancelled() noexcept { progressive_cancelled_.add(); }
-    void add_t1_segment_bytes(std::uint64_t n) noexcept { t1_bytes_.add(n); }
-    void on_pool_submission() noexcept { pool_submissions_.add(); }
-    void on_tile_decoded() noexcept { tiles_.add(); }
-
-    // Per-codec outcome counters, keyed by codec wire id and resolved to the
-    // registry name once at first sight (see metrics.cpp).  Registered lazily
-    // so only codecs that actually see traffic appear in expositions.
-    void on_codec_completed(std::uint8_t codec) noexcept;
-    void on_codec_failed(std::uint8_t codec) noexcept;
-    void on_codec_unsupported(std::uint8_t codec) noexcept;
-
-    void record_queue_depth(std::size_t depth) noexcept
+    void on_completed(priority p, std::uint8_t codec,
+                      std::chrono::steady_clock::time_point submitted) noexcept;
+    void on_failed(std::uint8_t codec) noexcept
     {
-        queue_depth_.set(static_cast<std::int64_t>(depth));
+        jobs_failed.add();
+        codec_slot(codec).failed->add();
     }
-    void record_queue_depth(priority p, std::size_t depth) noexcept
+    void on_unsupported(std::uint8_t codec) noexcept
     {
-        prio_depth_[static_cast<std::size_t>(p)]->set(static_cast<std::int64_t>(depth));
+        jobs_failed.add();
+        codec_slot(codec).unsupported->add();
     }
-    void record_latency_us(priority p, std::uint64_t us) noexcept
+    /// Wire ids seen so far, ascending.
+    [[nodiscard]] std::vector<std::uint8_t> codecs_seen() const;
+
+    /// Typed query over everything the registry collects.
+    [[nodiscard]] metrics_snapshot snapshot() const
     {
-        latency_.observe(us);
-        prio_latency_[static_cast<std::size_t>(p)]->observe(us);
+        return metrics_snapshot::from(reg.collect());
     }
-
-    // Per-stage wall-time accumulators; pair with obs::stage_timer on the
-    // decode path (replaces the old add_stage_ns plumbing).
-    [[nodiscard]] obs::counter& stage_entropy_ns() noexcept { return entropy_ns_; }
-    [[nodiscard]] obs::counter& stage_iq_ns() noexcept { return iq_ns_; }
-    [[nodiscard]] obs::counter& stage_idwt_ns() noexcept { return idwt_ns_; }
-    [[nodiscard]] obs::counter& stage_finish_ns() noexcept { return finish_ns_; }
-
-    [[nodiscard]] metrics_snapshot snapshot() const;
-
-    /// The underlying registry (generic exposition, tests).
-    [[nodiscard]] obs::registry& instruments() noexcept { return reg_; }
-    [[nodiscard]] const obs::registry& instruments() const noexcept { return reg_; }
 
 private:
-    obs::registry reg_;
-    obs::counter& submitted_;
-    obs::counter& completed_;
-    obs::counter& failed_;
-    obs::counter& rejected_;
-    obs::counter& dropped_;
-    obs::counter& promoted_;
-    obs::counter& batched_;
-    obs::counter& progressive_;
-    obs::counter& layers_;
-    obs::counter& progressive_cancelled_;
-    obs::counter& t1_bytes_;
-    obs::gauge& progressive_active_;
-    obs::counter& pool_submissions_;
-    obs::counter& tiles_;
-    obs::counter& entropy_ns_;
-    obs::counter& iq_ns_;
-    obs::counter& idwt_ns_;
-    obs::counter& finish_ns_;
-    obs::gauge& queue_depth_;
-    obs::gauge* prio_depth_[priority_count];
-    obs::counter* prio_rejected_[priority_count];
-    obs::counter* prio_dropped_[priority_count];
-    obs::log2_histogram& latency_;
-    obs::log2_histogram* prio_latency_[priority_count];
-
-    /// Lazily-bound per-codec counters (completed / failed / unsupported),
-    /// keyed by the codec's exposition name.  The mutex guards map shape
-    /// only; the counters themselves are the usual relaxed atomics.
+    struct shed_counters {
+        obs::counter* rejected = nullptr;
+        obs::counter* dropped = nullptr;
+    };
     struct codec_counters {
         obs::counter* completed = nullptr;
         obs::counter* failed = nullptr;
         obs::counter* unsupported = nullptr;
     };
-    codec_counters& codec_slot(std::uint8_t codec) noexcept;
-    mutable std::mutex codec_m_;
-    std::map<std::string, codec_counters> codec_;
+    /// Per-codec outcome counters, labelled by codec name and bound the
+    /// first time a wire id is seen: only codecs that see traffic appear,
+    /// and every later job costs one add.
+    const codec_counters& codec_slot(std::uint8_t codec) noexcept
+    {
+        const codec_counters* c = codecs_[codec].load(std::memory_order_acquire);
+        return c ? *c : bind_codec(codec);
+    }
+    const codec_counters& bind_codec(std::uint8_t codec) noexcept;
+
+    obs::log2_histogram* prio_latency_[priority_count];
+    shed_counters shed_[priority_count];
+    /// One slot per wire id, published once its counters are bound; the
+    /// mutex serialises only the first-sight binding.
+    std::array<std::atomic<const codec_counters*>, 256> codecs_{};
+    std::array<codec_counters, 256> codec_storage_;
+    std::mutex codec_m_;
 };
 
 }  // namespace runtime

@@ -19,12 +19,8 @@ namespace runtime {
 
 namespace {
 
-std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
-                         std::chrono::steady_clock::time_point b) noexcept
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-}
+// Process start, near enough: captured at static initialisation.
+const auto g_process_start = std::chrono::steady_clock::now();
 
 }  // namespace
 
@@ -47,6 +43,54 @@ decode_service::decode_service(service_config cfg)
     if (cfg_.arena_bytes > 0)
         arenas_ = std::make_unique<arena_pool>(
             static_cast<std::size_t>(pool_->size()), cfg_.arena_bytes);
+    // Values owned by the queue, pool, cache and arenas are read where they
+    // live at collection time; the registry keeps no copy of them.
+    metrics_.reg.add_collector(obs::metric_type::counter, [this](obs::sample_sink& out) {
+        out.add("jobs_promoted", queue_.promoted());
+        out.add("tasks_stolen", pool_->tasks_stolen());
+        const cache_stats cs = cache_ ? cache_->stats() : cache_stats{};
+        out.add("cache_hits", cs.hits);
+        out.add("cache_misses", cs.misses);
+        out.add("cache_collapses", cs.collapses);
+        out.add("cache_evictions", cs.evictions);
+        out.add("cache_session_resumes", cs.session_resumes);
+        // Every codec that saw jobs gets a cache split, zero without a cache,
+        // so a dashboard can tell a cold codec from an unused one.
+        for (const std::uint8_t id : metrics_.codecs_seen()) {
+            cache_stats::codec_split c{id, 0, 0};
+            for (const auto& bc : cs.by_codec)
+                if (bc.codec == id) c = bc;
+            const obs::label_set label{{"codec", codec_metric_name(id)}};
+            out.add("codec_cache_hits", c.hits, label);
+            out.add("codec_cache_misses", c.misses, label);
+        }
+        if (arenas_) {
+            out.add("arena_leases", arenas_->leases());
+            out.add("arena_dry_acquires", arenas_->dry_acquires());
+            out.add("arena_fallback_allocs", arenas_->fallback_allocs());
+        }
+    });
+    metrics_.reg.add_collector(obs::metric_type::gauge, [this](obs::sample_sink& out) {
+        out.add("queue_depth", queue_.size(), {}, queue_.high_water());
+        const cache_stats cs = cache_ ? cache_->stats() : cache_stats{};
+        out.add("cache_bytes", cs.bytes);
+        out.add("cache_pinned_bytes", cs.pinned_bytes);
+        out.add("cache_entries", cs.entries);
+        out.add("cache_session_entries", cs.session_entries);
+        if (arenas_) {
+            out.add("arena_capacity_bytes", arenas_->bytes_each());
+            out.add("arena_high_water_bytes", arenas_->high_water());
+        }
+        // Process metadata: info-style gauges carry their value as a label.
+        out.add("build_info", 1.0,
+                {{"type", build_type()}, {"compiler", compiler_version()}});
+        out.add("kernel_dispatch", 1.0,
+                {{"isa", j2k::kernel_isa_name(j2k::active_kernel_isa())}});
+        const auto up = std::chrono::steady_clock::now() - g_process_start;
+        out.add("uptime_seconds", std::chrono::duration<double>(up).count());
+        out.add("pool_threads", pool_->size());
+        out.add("tracing_armed", obs::tracing_enabled() ? 1.0 : 0.0);
+    });
 }
 
 decode_service::~decode_service()
@@ -74,14 +118,12 @@ void decode_service::settle(job& j, std::exception_ptr err)
         j.promise.set_exception(std::move(err));
 }
 
-void decode_service::record_priority_depths()
+void decode_service::trace_queue_depths()
 {
-    const std::size_t di = queue_.size(priority::interactive);
-    const std::size_t db = queue_.size(priority::batch);
-    metrics_.record_queue_depth(priority::interactive, di);
-    metrics_.record_queue_depth(priority::batch, db);
-    OBS_TRACE_COUNTER("runtime", "queue_depth_interactive", di);
-    OBS_TRACE_COUNTER("runtime", "queue_depth_batch", db);
+    OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
+    OBS_TRACE_COUNTER("runtime", "queue_depth_interactive",
+                      queue_.size(priority::interactive));
+    OBS_TRACE_COUNTER("runtime", "queue_depth_batch", queue_.size(priority::batch));
 }
 
 std::future<j2k::image> decode_service::submit(std::span<const std::uint8_t> cs,
@@ -138,7 +180,7 @@ std::size_t decode_service::submit_batch(std::vector<batch_item> items)
     for (auto& it : items) {
         auto j = make_job(std::move(it.bytes), it.opt);
         j->done = std::move(it.done);
-        metrics_.on_batched();
+        metrics_.jobs_batched.add();
         if (admit(std::move(j))) ++admitted;
     }
     if (admitted > 0) pump(admitted);
@@ -158,7 +200,7 @@ decode_service::job_ptr decode_service::make_job(std::vector<std::uint8_t>&& byt
 
 bool decode_service::admit(job_ptr j)
 {
-    metrics_.on_submitted();
+    metrics_.jobs_submitted.add();
     const decode_options opt = j->opt;
 
     {
@@ -182,9 +224,7 @@ bool decode_service::admit(job_ptr j)
     job_ptr evicted;
     priority evicted_prio = opt.prio;
     const push_result r = queue_.push(std::move(j), opt.prio, &evicted, &evicted_prio);
-    metrics_.record_queue_depth(queue_.size());
-    OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
-    record_priority_depths();
+    trace_queue_depths();
     switch (r) {
     case push_result::dropped:
         // Charge the drop to the priority actually evicted — with per-level
@@ -228,19 +268,15 @@ void decode_service::pump(std::size_t n)
     // entry, so one must never start from a parallel_for helping loop — the
     // flight's leader is below that loop on the same stack, and a nested
     // waiter there deadlocks the pool.
-    metrics_.on_pool_submission();
+    metrics_.pool_submissions.add();
     pool_->submit_root([this, n] {
         for (std::size_t i = 0; i < n; ++i) {
             auto popped = queue_.try_pop();
             if (!popped) break;
             job_ptr& p = popped->item;
-            if (popped->promoted) {
-                metrics_.on_promoted();
-                OBS_TRACE_INSTANT("runtime", "job_promoted");
-            }
+            if (popped->promoted) OBS_TRACE_INSTANT("runtime", "job_promoted");
             OBS_TRACE_ASYNC_END("job", "queue_wait", p->trace_id);
-            OBS_TRACE_COUNTER("runtime", "queue_depth", queue_.size());
-            record_priority_depths();
+            trace_queue_depths();
             run_job(*p);
             finish_one();
         }
@@ -265,8 +301,7 @@ void decode_service::run_job(job& j)
     if (j.opt.codec != j2k::k_codec_wire_id) {
         const codec::backend* be = codec::find_backend(j.opt.codec);
         if (be == nullptr) {
-            metrics_.on_failed();
-            metrics_.on_codec_unsupported(j.opt.codec);
+            metrics_.on_unsupported(j.opt.codec);
             OBS_TRACE_INSTANT("runtime", "job_unsupported_codec");
             settle(j, std::make_exception_ptr(unsupported_codec{j.opt.codec}));
             OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
@@ -295,17 +330,13 @@ void decode_service::run_job(job& j)
                                        scratch.resource())
                   : decode_tiled(dec, scratch.resource());
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
+        metrics_.on_failed(j.opt.codec);
         OBS_TRACE_INSTANT("runtime", "job_failed");
         settle(j, std::current_exception());
         OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
         return;
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
+    metrics_.on_completed(j.opt.prio, j.opt.codec, j.submitted_at);
     settle(j, std::move(img));
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
@@ -348,17 +379,13 @@ void decode_service::run_cached_job(job& j)
             }
         }
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
+        metrics_.on_failed(j.opt.codec);
         OBS_TRACE_INSTANT("runtime", "job_failed");
         settle(j, std::current_exception());
         OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
         return;
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
+    metrics_.on_completed(j.opt.prio, j.opt.codec, j.submitted_at);
     settle(j, j2k::image{*shared});  // each caller gets its own copy
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
@@ -388,7 +415,7 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
             // Generic progressive: the backend's session, no prefix cache
             // (resumable-prefix caching is a j2k specialisation for now).
             metrics_.on_progressive_started();
-            auto finished = [&] { metrics_.on_progressive_finished(); };
+            auto finished = [&] { metrics_.progressive_active.add(-1); };
             try {
                 auto sess = be.open_session(j.bytes);
                 const int stream_layers = sess->total_layers();
@@ -397,11 +424,11 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
                     cap > 0 && cap < stream_layers ? cap : stream_layers;
                 for (int l = 1; l <= total; ++l) {
                     codec::image img = sess->advance_to(l);
-                    metrics_.on_layer_emitted();
+                    metrics_.layers_emitted.add();
                     const bool more = j.on_layer(
                         layer_event{l, total, l == total, std::move(img)}, nullptr);
                     if (!more && l < total) {
-                        metrics_.on_progressive_cancelled();
+                        metrics_.progressive_cancelled.add();
                         break;
                     }
                 }
@@ -410,11 +437,7 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
                 throw;
             }
             finished();
-            metrics_.record_latency_us(
-                j.opt.prio,
-                ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-            metrics_.on_completed();
-            metrics_.on_codec_completed(id);
+            metrics_.on_completed(j.opt.prio, id, j.submitted_at);
             j.settled.store(true, std::memory_order_release);
             OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
             return;
@@ -450,24 +473,19 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
                 be.decode(j.bytes, req, scratch.resource()));
         }
     } catch (const unsupported_codec&) {
-        metrics_.on_failed();
-        metrics_.on_codec_unsupported(id);
+        metrics_.on_unsupported(id);
         OBS_TRACE_INSTANT("runtime", "job_unsupported_codec");
         settle(j, std::current_exception());
         OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
         return;
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(id);
+        metrics_.on_failed(id);
         OBS_TRACE_INSTANT("runtime", "job_failed");
         settle(j, std::current_exception());
         OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
         return;
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(id);
+    metrics_.on_completed(j.opt.prio, id, j.submitted_at);
     settle(j, codec::image{*shared});
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
@@ -489,7 +507,7 @@ j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_
             lease->session.set_threads(pool_->size());
             lease->session.set_scratch_arena(mr);
             j2k::image img = lease->session.advance_to(key.layers);
-            metrics_.add_t1_segment_bytes(lease->session.tier1_segment_bytes() - before);
+            metrics_.t1_segment_bytes.add(lease->session.tier1_segment_bytes() - before);
             // The session outlives this job in the cache; it must not keep a
             // pointer to the job-scoped arena (reset at lease return).
             lease->session.set_scratch_arena(nullptr);
@@ -506,7 +524,7 @@ j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_
     s.set_threads(pool_->size());
     s.set_scratch_arena(mr);
     j2k::image img = s.advance_to(key.layers);
-    metrics_.add_t1_segment_bytes(s.tier1_segment_bytes());
+    metrics_.t1_segment_bytes.add(s.tier1_segment_bytes());
     // Deposit the cold prefix only when the job owns its bytes: the session
     // references the codestream storage, and a borrowed span (copy_input =
     // false) would leave it pointing into caller memory.  The vector move
@@ -527,7 +545,7 @@ void decode_service::run_progressive_job(job& j)
     OBS_TRACE_SCOPE("runtime", "progressive_job");
     metrics_.on_progressive_started();
     OBS_TRACE_COUNTER("runtime", "progressive_active",
-                      metrics_.instruments().get_gauge("progressive_active").value());
+                      metrics_.progressive_active.value());
     try {
         const arena_pool::lease scratch = acquire_arena();
         j2k::decode_session s{j.bytes};
@@ -542,13 +560,13 @@ void decode_service::run_progressive_job(job& j)
             OBS_TRACE_ASYNC_BEGIN("job", "layer", j.trace_id);
             j2k::image img = s.advance_to(l);
             OBS_TRACE_ASYNC_END("job", "layer", j.trace_id);
-            metrics_.add_t1_segment_bytes(s.tier1_segment_bytes() - prev_bytes);
+            metrics_.t1_segment_bytes.add(s.tier1_segment_bytes() - prev_bytes);
             prev_bytes = s.tier1_segment_bytes();
-            metrics_.on_layer_emitted();
+            metrics_.layers_emitted.add();
             const bool more =
                 j.on_layer(layer_event{l, total, l == total, std::move(img)}, nullptr);
             if (!more && l < total) {
-                metrics_.on_progressive_cancelled();
+                metrics_.progressive_cancelled.add();
                 OBS_TRACE_INSTANT("runtime", "progressive_cancelled");
                 break;
             }
@@ -566,19 +584,15 @@ void decode_service::run_progressive_job(job& j)
             cache_->deposit_session(chash, std::move(bytes), std::move(s));
         }
     } catch (...) {
-        metrics_.on_failed();
-        metrics_.on_codec_failed(j.opt.codec);
-        metrics_.on_progressive_finished();
+        metrics_.on_failed(j.opt.codec);
+        metrics_.progressive_active.add(-1);
         OBS_TRACE_INSTANT("runtime", "job_failed");
         settle(j, std::current_exception());  // routed through on_layer
         OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
         return;
     }
-    metrics_.record_latency_us(
-        j.opt.prio, ns_between(j.submitted_at, std::chrono::steady_clock::now()) / 1000);
-    metrics_.on_completed();
-    metrics_.on_codec_completed(j.opt.codec);
-    metrics_.on_progressive_finished();
+    metrics_.on_completed(j.opt.prio, j.opt.codec, j.submitted_at);
+    metrics_.progressive_active.add(-1);
     j.settled.store(true, std::memory_order_release);  // all layers delivered
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
@@ -600,26 +614,26 @@ j2k::image decode_service::decode_tiled(const j2k::decoder& dec,
         OBS_TRACE_SCOPE("runtime", "tile");
         j2k::tile_coeffs tc;
         {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_entropy_ns()};
+            obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[0]};
             tc = dec.entropy_decode(t, nullptr, mr);
         }
         j2k::tile_wavelet tw;
         {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_iq_ns()};
+            obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[1]};
             tw = dec.dequantize(tc);
         }
         j2k::tile_pixels tp;
         {
-            obs::stage_timer st{nullptr, nullptr, metrics_.stage_idwt_ns()};
+            obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[2]};
             tp = dec.idwt(tw, mr);
         }
         for (int c = 0; c < info.components; ++c)
             j2k::insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)],
                              grid[static_cast<std::size_t>(t)]);
-        metrics_.on_tile_decoded();
+        metrics_.tiles_decoded.add();
     });
     {
-        obs::stage_timer st{nullptr, nullptr, metrics_.stage_finish_ns()};
+        obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[3]};
         dec.finish(img);
     }
     return img;
@@ -634,57 +648,6 @@ void decode_service::shutdown()
     queue_.close();  // wakes blocked submitters; queued jobs remain poppable
     std::unique_lock lk{drain_m_};
     drained_cv_.wait(lk, [&] { return in_flight_ == 0; });
-}
-
-metrics_snapshot decode_service::metrics() const
-{
-    metrics_snapshot s = metrics_.snapshot();
-    s.uptime_s = process_uptime_s();
-    s.pool_threads = pool_->size();
-    s.kernel_isa = j2k::kernel_isa_name(j2k::active_kernel_isa());
-    if (arenas_) {
-        s.arena_capacity_bytes = arenas_->bytes_each();
-        s.arena_leases = arenas_->leases();
-        s.arena_dry_acquires = arenas_->dry_acquires();
-        s.arena_fallback_allocs = arenas_->fallback_allocs();
-        s.arena_high_water_bytes = arenas_->high_water();
-    }
-    s.tracing_armed = obs::tracing_enabled();
-    s.build = build_type();
-    s.compiler = compiler_version();
-    s.queue_depth_high_water =
-        std::max<std::uint64_t>(s.queue_depth_high_water, queue_.high_water());
-    s.jobs_promoted = std::max(s.jobs_promoted, queue_.promoted());
-    s.tasks_stolen = pool_->tasks_stolen();
-    if (cache_) {
-        const cache_stats cs = cache_->stats();
-        s.cache_hits = cs.hits;
-        s.cache_misses = cs.misses;
-        s.cache_collapses = cs.collapses;
-        s.cache_evictions = cs.evictions;
-        s.cache_session_resumes = cs.session_resumes;
-        s.cache_bytes = cs.bytes;
-        s.cache_pinned_bytes = cs.pinned_bytes;
-        s.cache_entries = cs.entries;
-        s.cache_session_entries = cs.session_entries;
-        // Merge the cache's per-codec split into the job split, resolving
-        // wire ids to the same exposition names service_metrics uses.
-        for (const auto& bc : cs.by_codec) {
-            const codec::backend* be = codec::find_backend(bc.codec);
-            const std::string name =
-                be ? std::string{be->name()} : std::to_string(int{bc.codec});
-            auto it = std::find_if(s.by_codec.begin(), s.by_codec.end(),
-                                   [&](const auto& e) { return e.name == name; });
-            if (it == s.by_codec.end()) {
-                metrics_snapshot::codec_entry e;
-                e.name = name;
-                it = s.by_codec.insert(s.by_codec.end(), std::move(e));
-            }
-            it->cache_hits = bc.hits;
-            it->cache_misses = bc.misses;
-        }
-    }
-    return s;
 }
 
 }  // namespace runtime

@@ -235,15 +235,15 @@ public:
     }
 
     [[nodiscard]] int workers() const noexcept { return pool_->size(); }
-    [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-    [[nodiscard]] std::size_t queue_depth(priority p) const { return queue_.size(p); }
 
     /// The decoded-result cache, or null when cache_bytes == 0.
     [[nodiscard]] decoded_cache* cache() noexcept { return cache_.get(); }
     [[nodiscard]] const decoded_cache* cache() const noexcept { return cache_.get(); }
 
-    /// Point-in-time metrics (queue high-water and cache stats merged in).
-    [[nodiscard]] metrics_snapshot metrics() const;
+    /// Point-in-time typed view of the service metrics.
+    [[nodiscard]] metrics_snapshot metrics() const { return metrics_.snapshot(); }
+    /// The registry every service metric is declared in (what /metrics renders).
+    [[nodiscard]] const obs::registry& instruments() const { return metrics_.reg; }
 
 private:
     struct job {
@@ -286,7 +286,8 @@ private:
     j2k::image decode_leader(job& j, j2k::decoder& dec, const cache_key& key,
                              std::pmr::memory_resource* mr);
     void finish_one();
-    void record_priority_depths();
+    /// Trace counters for the queue levels (no-ops unless tracing is armed).
+    void trace_queue_depths();
     j2k::image decode_tiled(const j2k::decoder& dec, std::pmr::memory_resource* mr);
     /// One lease per job; empty (→ heap scratch) when pooling is disabled or
     /// the pool is momentarily dry.

@@ -72,6 +72,59 @@ TEST(Registry, JsonExposition)
     EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
+TEST(Registry, RenderersApplyTheFamilyNamingRules)
+{
+    obs::registry r;
+    r.get_counter("jobs").add(3);
+    r.get_counter("shed", {{"kind", "drop"}}).add(1);
+    r.get_gauge("depth").set(4);
+    r.get_histogram("lat").observe(100);
+    r.add_collector(obs::metric_type::untyped, [](obs::sample_sink& out) {
+        out.add("raw_total", 7);
+        out.add("raw_total", 8);  // repeated label set: dropped
+        out.add("jobs", 9);       // already a counter family: dropped
+    });
+    const auto families = r.collect();
+    const std::string p = obs::render_prometheus(families, "x");
+    EXPECT_NE(p.find("# TYPE x_jobs_total counter\nx_jobs_total 3\n"), std::string::npos);
+    EXPECT_NE(p.find("# TYPE x_shed_total counter\nx_shed_total{kind=\"drop\"} 1\n"),
+              std::string::npos);
+    EXPECT_NE(p.find("# TYPE x_depth gauge\nx_depth 4\n"
+                     "# TYPE x_depth_high_water gauge\nx_depth_high_water 4\n"),
+              std::string::npos);
+    EXPECT_NE(p.find("# TYPE x_lat summary\nx_lat{quantile=\"0.5\"} "),
+              std::string::npos);
+    EXPECT_NE(p.find("x_lat_sum 100\nx_lat_count 1\n"
+                     "# TYPE x_lat_max gauge\nx_lat_max 100\n"),
+              std::string::npos);
+    EXPECT_NE(p.find("# TYPE x_raw_total untyped\nx_raw_total 7\n"), std::string::npos);
+    EXPECT_EQ(p.find(" 8\n"), std::string::npos);
+    EXPECT_EQ(p.find(" 9\n"), std::string::npos);
+    EXPECT_EQ(p.find("# TYPE x_jobs_total"), p.rfind("# TYPE x_jobs_total"));
+    // No prefix: the names are the declared ones.
+    const std::string bare = obs::render_prometheus(families, "");
+    EXPECT_EQ(bare.rfind("# TYPE jobs_total counter\n", 0), 0u);
+
+    const std::string json = obs::render_json(families);
+    EXPECT_NE(json.find("\"shed\":[{\"labels\":{\"kind\":\"drop\"},\"value\":1}]"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"untyped\":{\"raw_total\":7}"), std::string::npos);
+    EXPECT_NE(obs::render_text(families).find("shed{kind=\"drop\"} 1\n"),
+              std::string::npos);
+}
+
+TEST(Registry, SameNameAnotherTypeGetsAPrivateInstrument)
+{
+    obs::registry r;
+    r.get_counter("x").add(2);
+    r.get_gauge("x").set(5);  // a distinct, unexposed instrument, never a crash
+    EXPECT_EQ(r.get_gauge("x").value(), 5);
+    EXPECT_EQ(r.get_counter("x").value(), 2u);
+    const std::string json = r.expose_json();
+    EXPECT_NE(json.find("\"counters\":{\"x\":2}"), std::string::npos);
+    EXPECT_NE(json.find("\"gauges\":{}"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Name hygiene at the exposition boundary (registry names are free-form).
 

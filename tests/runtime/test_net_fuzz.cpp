@@ -238,7 +238,7 @@ TEST(NetFuzz, MutatedRequestFramesNeverCrashOrHangTheServer)
     net::client cli{"127.0.0.1", srv.port()};
     const auto r = cli.decode({plain, 0, net::result_format::raw, 99});
     ASSERT_TRUE(r.ok()) << net::status_name(r.st) << ": " << r.message() << "\n"
-                        << srv.service().metrics().dump();
+                        << srv.service().instruments().expose_text();
     EXPECT_EQ(net::decode_image_raw(r.payload), j2k::decoder{plain}.decode_all());
     srv.stop();
 }

@@ -2,6 +2,8 @@
 // priority admission, backpressure accounting, shutdown drain, metrics.
 #include <runtime/service.hpp>
 
+#include <ccsds/ccsds123.hpp>
+#include <j2k/backend.hpp>
 #include <j2k/j2k.hpp>
 
 #include <gtest/gtest.h>
@@ -352,14 +354,57 @@ TEST(DecodeService, MetricsReportStealsForMultiTileJobs)
     if (std::thread::hardware_concurrency() > 1) EXPECT_GT(m.tasks_stolen, 0u);
 }
 
+TEST(ServiceMetrics, PerCodecCountersAreExactUnderConcurrentFirstSight)
+{
+    // 8 threads race the first-sight binding of three wire ids (j2k, ccsds123
+    // and an unregistered 99) and then keep counting: every add must land in
+    // the one counter bound for its id.
+    j2k::ensure_backend_registered();
+    ccsds::ensure_backend_registered();
+    runtime::service_metrics m;
+    constexpr int k_threads = 8;
+    constexpr int k_per_thread = 3000;
+    std::vector<std::thread> ts;
+    for (int t = 0; t < k_threads; ++t)
+        ts.emplace_back([&m, t] {
+            for (int i = 0; i < k_per_thread; ++i) {
+                switch ((i + t) % 3) {
+                case 0:
+                    m.on_completed(priority::batch, 0, std::chrono::steady_clock::now());
+                    break;
+                case 1: m.on_failed(1); break;
+                default: m.on_unsupported(99); break;
+                }
+            }
+        });
+    for (auto& t : ts) t.join();
+    const auto snap = m.snapshot();
+    ASSERT_EQ(snap.by_codec.size(), 3u);
+    constexpr std::uint64_t k_each = k_threads * k_per_thread / 3;
+    std::uint64_t total = 0;
+    for (const auto& c : snap.by_codec) {
+        total += c.completed + c.failed + c.unsupported;
+        if (c.name == "99") EXPECT_EQ(c.unsupported, k_each);
+        else if (c.name == "ccsds123") EXPECT_EQ(c.failed, k_each);
+        else EXPECT_EQ(c.completed, k_each) << c.name;
+    }
+    EXPECT_EQ(total, static_cast<std::uint64_t>(k_threads) * k_per_thread);
+    EXPECT_EQ(snap.jobs_completed, k_each);
+    EXPECT_EQ(snap.jobs_failed, 2 * k_each);
+    EXPECT_EQ(m.codecs_seen(), (std::vector<std::uint8_t>{0, 1, 99}));
+}
+
 TEST(DecodeService, MetricsDumpAndJsonContainCounters)
 {
     const auto cs = make_stream(64, 64, 1, 32);
     decode_service svc{{.workers = 2}};
     (void)svc.submit(cs).get();
-    const auto m = svc.metrics();
-    EXPECT_NE(m.dump().find("submitted=1"), std::string::npos);
-    EXPECT_NE(m.to_json().find("\"jobs_completed\":1"), std::string::npos);
+    // The registry's generic text and JSON renderings carry the service
+    // families under their declared names.
+    EXPECT_NE(svc.instruments().expose_text().find("jobs_submitted 1\n"),
+              std::string::npos);
+    EXPECT_NE(svc.instruments().expose_json().find("\"jobs_completed\":1"),
+              std::string::npos);
 }
 
 TEST(DecodeService, MoveSubmitTransfersOwnershipWithoutCopy)
@@ -465,8 +510,14 @@ TEST(DecodeService, PerPriorityCapacitiesShedIndependentlyAndAreAccounted)
     EXPECT_EQ(m.shed_by_priority[1].rejected, static_cast<std::uint64_t>(rejected));
     EXPECT_EQ(m.shed_by_priority[0].rejected, 0u);
     EXPECT_EQ(m.jobs_rejected, static_cast<std::uint64_t>(rejected));
-    EXPECT_NE(m.to_json().find("\"shed_batch\""), std::string::npos);
-    EXPECT_NE(m.dump().find("shed by priority"), std::string::npos);
+    const std::string n = std::to_string(rejected);
+    EXPECT_NE(svc.instruments().expose_json().find(
+                  "{\"labels\":{\"priority\":\"batch\",\"kind\":\"rejected\"},"
+                  "\"value\":" + n + "}"),
+              std::string::npos);
+    EXPECT_NE(svc.instruments().expose_text().find(
+                  "jobs_shed{priority=\"batch\",kind=\"rejected\"} " + n + "\n"),
+              std::string::npos);
 }
 
 }  // namespace
