@@ -272,16 +272,10 @@ std::uint16_t get_u16(const std::uint8_t* p)
     return static_cast<std::uint16_t>((std::uint32_t{p[0]} << 8) | p[1]);
 }
 
-/// The rolling window of previous-band central local differences.  Backed by
-/// the caller's arena when one is provided (this is the codec's only decode
-/// scratch beyond the output image itself).
+/// The rolling window of previous-band central local differences (the
+/// codec's only decode scratch beyond the output image itself).
 struct cd_window {
-    explicit cd_window(std::pmr::memory_resource* mr)
-        : planes(mr != nullptr ? mr : std::pmr::get_default_resource())
-    {
-    }
-
-    std::pmr::vector<std::pmr::vector<std::int32_t>> planes;
+    std::vector<std::vector<std::int32_t>> planes;
     std::vector<std::int32_t*> order;  ///< order[0] = band z-1, [1] = z-2, ...
 
     void init(int window, std::size_t plane_samples)
@@ -435,7 +429,7 @@ std::vector<std::uint8_t> encode(const codec::image& img, const params& p)
     put_u16(out, 0);
 
     bit_writer bw{out};
-    cd_window cdw{nullptr};
+    cd_window cdw;
     const int window = std::min(g.pred_bands, g.bands - 1);
     if (window > 0)
         cdw.init(window + 1, static_cast<std::size_t>(g.width) *
@@ -464,7 +458,7 @@ std::vector<std::uint8_t> encode(const codec::image& img, const params& p)
     return out;
 }
 
-codec::image decode(std::span<const std::uint8_t> cs, std::pmr::memory_resource* mr)
+codec::image decode(std::span<const std::uint8_t> cs)
 {
     const stream_info si = read_header(cs);
     const geometry g{si.width, si.height, si.bands, si.bit_depth,
@@ -472,7 +466,7 @@ codec::image decode(std::span<const std::uint8_t> cs, std::pmr::memory_resource*
 
     codec::image img{g.width, g.height, g.bands, g.depth};
     bit_reader br{cs.subspan(k_header_size)};
-    cd_window cdw{mr};
+    cd_window cdw;
     const int window = std::min(g.pred_bands, g.bands - 1);
     if (window > 0)
         cdw.init(window + 1, static_cast<std::size_t>(g.width) *
@@ -511,13 +505,12 @@ public:
     }
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
-                                      const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr) const override
+                                      const codec::decode_request& req) const override
     {
         if (req.discard_levels != 0 || req.max_quality_layers != 0 ||
             req.max_passes != 0)
             bad_stream("ccsds123 is lossless: reduction options unsupported");
-        return ccsds::decode(bytes, mr);
+        return ccsds::decode(bytes);
     }
 };
 

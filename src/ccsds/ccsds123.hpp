@@ -40,7 +40,6 @@
 #include <codec/image.hpp>
 
 #include <cstdint>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -91,11 +90,8 @@ struct stream_info {
 [[nodiscard]] std::vector<std::uint8_t> encode(const codec::image& img,
                                                const params& p = {});
 
-/// Decode a codestream.  `mr`, when non-null, backs the prediction scratch
-/// (the rolling window of previous-band local differences).  Throws
-/// codec::codestream_error on malformed input.
-[[nodiscard]] codec::image decode(std::span<const std::uint8_t> cs,
-                                  std::pmr::memory_resource* mr = nullptr);
+/// Decode a codestream.  Throws codec::codestream_error on malformed input.
+[[nodiscard]] codec::image decode(std::span<const std::uint8_t> cs);
 
 /// Register the CCSDS-123 backend (wire id 1) with the codec registry.
 /// Idempotent and thread-safe.

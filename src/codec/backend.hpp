@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -84,12 +83,10 @@ public:
     [[nodiscard]] virtual std::uint8_t wire_id() const noexcept = 0;
     [[nodiscard]] virtual capabilities caps() const noexcept = 0;
 
-    /// Decode a whole codestream.  `mr`, when non-null, backs decode-transient
-    /// scratch (per-job arenas); the returned image always owns heap storage.
-    /// Throws codec::codestream_error on malformed input — nothing else.
+    /// Decode a whole codestream.  Throws codec::codestream_error on
+    /// malformed input — nothing else.
     [[nodiscard]] virtual image decode(std::span<const std::uint8_t> bytes,
-                                       const decode_request& req,
-                                       std::pmr::memory_resource* mr = nullptr) const = 0;
+                                       const decode_request& req) const = 0;
 
     /// Open a progressive session over `bytes` (which must outlive it).
     /// Default: throws std::logic_error — only capabilities::progressive

@@ -52,20 +52,19 @@ public:
     }
 
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t> bytes,
-                                      const codec::decode_request& req,
-                                      std::pmr::memory_resource* mr) const override
+                                      const codec::decode_request& req) const override
     {
         decoder dec{bytes};
         dec.set_max_passes(req.max_passes);
         dec.set_max_quality_layers(req.max_quality_layers);
-        if (req.discard_levels > 0) return dec.decode_reduced(req.discard_levels, nullptr, mr);
+        if (req.discard_levels > 0) return dec.decode_reduced(req.discard_levels);
         decode_stats stats;
         const auto grid = dec.tiles();
         const auto& info = dec.info();
         image img{info.width, info.height, info.components, info.bit_depth};
         for (const tile_rect& r : grid) {
-            const tile_coeffs tc = dec.entropy_decode(r.index, &stats.t1, mr);
-            const tile_pixels tp = dec.idwt(dec.dequantize(tc), mr);
+            const tile_coeffs tc = dec.entropy_decode(r.index, &stats.t1);
+            const tile_pixels tp = dec.idwt(dec.dequantize(tc));
             for (int c = 0; c < info.components; ++c)
                 insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)], r);
         }

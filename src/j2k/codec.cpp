@@ -193,8 +193,7 @@ std::vector<tile_rect> decoder::tiles() const
     return tile_grid(info_.width, info_.height, info_.tile_width, info_.tile_height);
 }
 
-tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
-                                    std::pmr::memory_resource* mr) const
+tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats) const
 {
     OBS_TRACE_SCOPE("j2k", "tier1");
     const auto grid = tiles();
@@ -203,15 +202,14 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
     const tile_rect tr = grid[static_cast<std::size_t>(tile_index)];
 
     if (info_.quality_layers > 1)
-        return entropy_decode_layered(tile_index, stats, mr);
+        return entropy_decode_layered(tile_index, stats);
 
     byte_reader r{cs_};
     r.seek(info_.tile_offsets[static_cast<std::size_t>(tile_index)]);
 
     tile_coeffs tc;
     tc.rect = tr;
-    std::pmr::vector<std::int32_t> block{
-        mr ? mr : std::pmr::get_default_resource()};
+    std::vector<std::int32_t> block;
     for (int c = 0; c < info_.components; ++c) {
         plane coeffs{tr.width, tr.height};
         for (const auto& br : subband_layout(tr.width, tr.height, info_.levels)) {
@@ -225,7 +223,7 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
                 const auto seg = r.bytes(len);
                 cb.data.assign(seg.begin(), seg.end());
                 block.resize(static_cast<std::size_t>(bw) * bh);
-                tier1_decode(cb, block.data(), br.b, stats, max_passes_, mr);
+                tier1_decode(cb, block.data(), br.b, stats, max_passes_);
                 scatter_block(coeffs, x0, y0, bw, bh, block.data());
             });
         }
@@ -234,8 +232,7 @@ tile_coeffs decoder::entropy_decode(int tile_index, tier1_stats* stats,
     return tc;
 }
 
-tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
-                                            std::pmr::memory_resource* mr) const
+tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats) const
 {
     const auto grid = tiles();
     const tile_rect tr = grid[static_cast<std::size_t>(tile_index)];
@@ -277,7 +274,7 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
 
     tile_coeffs tc;
     tc.rect = tr;
-    std::pmr::vector<std::int32_t> blk{mr ? mr : std::pmr::get_default_resource()};
+    std::vector<std::int32_t> blk;
     std::size_t bi = 0;
     for (int c = 0; c < info_.components; ++c) {
         plane coeffs{tr.width, tr.height};
@@ -285,7 +282,7 @@ tile_coeffs decoder::entropy_decode_layered(int tile_index, tier1_stats* stats,
             if (br.width == 0 || br.height == 0) continue;
             for_each_codeblock(br, [&](int x0, int y0, int bw, int bh) {
                 blk.resize(static_cast<std::size_t>(bw) * bh);
-                tier1_decode_layered(blocks.at(bi), blk.data(), br.b, use, stats, mr);
+                tier1_decode_layered(blocks.at(bi), blk.data(), br.b, use, stats);
                 scatter_block(coeffs, x0, y0, bw, bh, blk.data());
                 ++bi;
             });
@@ -305,7 +302,6 @@ tile_wavelet decoder::dequantize(const tile_coeffs& tc) const
         tw.iplanes = tc.comps;  // reversible path: IQ is the identity
         return tw;
     }
-    const kernel_table& K = kernels();
     for (const auto& cp : tc.comps) {
         std::vector<double> buf(static_cast<std::size_t>(cp.width()) * cp.height(), 0.0);
         for (const auto& br : subband_layout(cp.width(), cp.height(), info_.levels)) {
@@ -317,7 +313,7 @@ tile_wavelet decoder::dequantize(const tile_coeffs& tc) const
                 const std::int32_t* src = cp.row(br.y0 + y) + br.x0;
                 double* dst =
                     buf.data() + static_cast<std::size_t>(br.y0 + y) * cp.width() + br.x0;
-                K.dequant(src, dst, step, static_cast<std::size_t>(br.width));
+                dequant_row(src, dst, step, static_cast<std::size_t>(br.width));
             }
         }
         tw.dplanes.push_back(std::move(buf));
@@ -325,21 +321,21 @@ tile_wavelet decoder::dequantize(const tile_coeffs& tc) const
     return tw;
 }
 
-tile_pixels decoder::idwt(const tile_wavelet& tw, std::pmr::memory_resource* mr) const
+tile_pixels decoder::idwt(const tile_wavelet& tw) const
 {
     OBS_TRACE_SCOPE("j2k", "idwt");
     tile_pixels tp;
     tp.rect = tw.rect;
     if (!tw.lossy) {
         for (plane p : tw.iplanes) {
-            dwt53_inverse(p, info_.levels, mr);
+            dwt53_inverse(p, info_.levels);
             tp.comps.push_back(std::move(p));
         }
         return tp;
     }
     for (const auto& dbuf : tw.dplanes) {
         std::vector<double> buf = dbuf;
-        dwt97_inverse(buf, tw.rect.width, tw.rect.height, info_.levels, mr);
+        dwt97_inverse(buf, tw.rect.width, tw.rect.height, info_.levels);
         plane p{tw.rect.width, tw.rect.height};
         for (std::size_t i = 0; i < buf.size(); ++i)
             p.samples()[i] = static_cast<std::int32_t>(std::lround(buf[i]));
@@ -378,8 +374,7 @@ image decoder::decode_all_parallel(int threads) const
     return s.advance_to(max_layers_);
 }
 
-image decoder::decode_reduced(int discard, decode_stats* stats,
-                              std::pmr::memory_resource* mr) const
+image decoder::decode_reduced(int discard, decode_stats* stats) const
 {
     if (discard < 0 || discard > info_.levels)
         throw std::invalid_argument{"decode_reduced: discard out of range"};
@@ -391,7 +386,7 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
     const auto grid = tiles();
     for (int t = 0; t < static_cast<int>(grid.size()); ++t) {
         const tile_rect& tr = grid[static_cast<std::size_t>(t)];
-        const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr, mr);
+        const tile_coeffs tc = entropy_decode(t, stats ? &stats->t1 : nullptr);
         const tile_wavelet tw = dequantize(tc);
         // Partial synthesis, then crop the reduced-resolution LL region.
         const int tw_r = reduced_extent(tr.width, discard);
@@ -404,10 +399,10 @@ image decoder::decode_reduced(int discard, decode_stats* stats,
             plane full{tr.width, tr.height};
             if (!tw.lossy) {
                 full = tw.iplanes[static_cast<std::size_t>(comp)];
-                dwt53_inverse_partial(full, info_.levels, discard, mr);
+                dwt53_inverse_partial(full, info_.levels, discard);
             } else {
                 std::vector<double> buf = tw.dplanes[static_cast<std::size_t>(comp)];
-                dwt97_inverse_partial(buf, tr.width, tr.height, info_.levels, discard, mr);
+                dwt97_inverse_partial(buf, tr.width, tr.height, info_.levels, discard);
                 for (std::size_t i = 0; i < buf.size(); ++i)
                     full.samples()[i] = static_cast<std::int32_t>(std::lround(buf[i]));
             }

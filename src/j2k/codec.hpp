@@ -83,11 +83,8 @@ public:
     [[nodiscard]] std::vector<tile_rect> tiles() const;
 
     /// Stage 1 — arithmetic (tier-1) decoding of one tile.  The hot stage.
-    /// `mr`, when non-null, backs the per-code-block decoder scratch (see
-    /// tier1_decode) — pass a per-job arena for malloc-free steady state.
-    [[nodiscard]] tile_coeffs entropy_decode(
-        int tile_index, tier1_stats* stats = nullptr,
-        std::pmr::memory_resource* mr = nullptr) const;
+    [[nodiscard]] tile_coeffs entropy_decode(int tile_index,
+                                             tier1_stats* stats = nullptr) const;
 
     /// SNR scalability: cap the tier-1 coding passes decoded per code block
     /// (0 = all).  Fewer passes trade quality for arithmetic-decoding work —
@@ -104,10 +101,8 @@ public:
     /// Stage 2 — inverse quantisation.
     [[nodiscard]] tile_wavelet dequantize(const tile_coeffs& tc) const;
 
-    /// Stage 3 — inverse DWT (5/3 or 9/7 as per stream mode).  `mr` backs the
-    /// transform's interleave scratch.
-    [[nodiscard]] tile_pixels idwt(const tile_wavelet& tw,
-                                   std::pmr::memory_resource* mr = nullptr) const;
+    /// Stage 3 — inverse DWT (5/3 or 9/7 as per stream mode).
+    [[nodiscard]] tile_pixels idwt(const tile_wavelet& tw) const;
 
     /// Stages 4+5 over an assembled image — inverse colour transform and
     /// inverse DC shift.
@@ -124,12 +119,11 @@ public:
     /// Resolution scalability: decode at 1/2^discard of the full resolution
     /// by synthesising `discard` fewer wavelet levels.  Tier-1 work is
     /// unchanged but the IDWT and downstream stages shrink by ~4^discard.
-    [[nodiscard]] image decode_reduced(int discard, decode_stats* stats = nullptr,
-                                       std::pmr::memory_resource* mr = nullptr) const;
+    [[nodiscard]] image decode_reduced(int discard, decode_stats* stats = nullptr) const;
 
 private:
-    [[nodiscard]] tile_coeffs entropy_decode_layered(
-        int tile_index, tier1_stats* stats, std::pmr::memory_resource* mr) const;
+    [[nodiscard]] tile_coeffs entropy_decode_layered(int tile_index,
+                                                     tier1_stats* stats) const;
 
     std::span<const std::uint8_t> cs_;
     stream_info info_;

@@ -35,14 +35,9 @@ constexpr double k_K = 1.230174104914001;
     return e;
 }
 
-[[nodiscard]] std::pmr::memory_resource* mr_of(std::pmr::memory_resource* mr) noexcept
-{
-    return mr ? mr : std::pmr::get_default_resource();
-}
-
 /// Deinterleave x (even→low half, odd→high half) using scratch.
 template <typename T>
-void deinterleave(T* x, int n, std::pmr::vector<T>& scratch)
+void deinterleave(T* x, int n, std::vector<T>& scratch)
 {
     scratch.assign(x, x + n);
     const int nl = (n + 1) / 2;
@@ -56,7 +51,7 @@ void deinterleave(T* x, int n, std::pmr::vector<T>& scratch)
 
 /// Interleave (inverse of deinterleave).
 template <typename T>
-void interleave(T* x, int n, std::pmr::vector<T>& scratch)
+void interleave(T* x, int n, std::vector<T>& scratch)
 {
     scratch.assign(x, x + n);
     const int nl = (n + 1) / 2;
@@ -124,16 +119,16 @@ namespace {
 // lifting steps are elementwise across a row once the data is viewed in
 // interleaved row order, so instead we copy the region's rows into a
 // contiguous grid in interleaved order, apply each lifting step as a
-// whole-row kernel (dispatched: scalar or AVX2), and copy back.  The
-// per-element arithmetic is identical to running dwt*_1d down each column,
-// so results are bit-exact with the previous layout.
+// whole-row kernel (kernels.hpp), and copy back.  The per-element arithmetic
+// is identical to running dwt*_1d down each column, so results are bit-exact
+// with the previous layout.
 //
 // Row y's lifting neighbours are rows mirror(y±1, h) — passing the mirrored
 // row twice at the boundary reproduces the 1-D at() extension exactly.
 // ---------------------------------------------------------------------------
 
 void vertical53_forward(std::int32_t* data, int stride, int w, int h,
-                        std::int32_t* g, const kernel_table& K)
+                        std::int32_t* g)
 {
     for (int y = 0; y < h; ++y)
         std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
@@ -142,9 +137,9 @@ void vertical53_forward(std::int32_t* data, int stride, int w, int h,
         return g + static_cast<std::size_t>(mirror(y, h)) * w;
     };
     for (int y = 1; y < h; y += 2)
-        K.lift53_sub_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        lift53_sub_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
     for (int y = 0; y < h; y += 2)
-        K.lift53_add_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        lift53_add_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
         const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
@@ -154,7 +149,7 @@ void vertical53_forward(std::int32_t* data, int stride, int w, int h,
 }
 
 void vertical53_inverse(std::int32_t* data, int stride, int w, int h,
-                        std::int32_t* g, const kernel_table& K)
+                        std::int32_t* g)
 {
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
@@ -166,16 +161,15 @@ void vertical53_inverse(std::int32_t* data, int stride, int w, int h,
         return g + static_cast<std::size_t>(mirror(y, h)) * w;
     };
     for (int y = 0; y < h; y += 2)
-        K.lift53_sub_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        lift53_sub_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
     for (int y = 1; y < h; y += 2)
-        K.lift53_add_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+        lift53_add_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
     for (int y = 0; y < h; ++y)
         std::copy_n(g + static_cast<std::size_t>(y) * w, w,
                     data + static_cast<std::ptrdiff_t>(y) * stride);
 }
 
-void vertical97_forward(double* data, int stride, int w, int h, double* g,
-                        const kernel_table& K)
+void vertical97_forward(double* data, int stride, int w, int h, double* g)
 {
     for (int y = 0; y < h; ++y)
         std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
@@ -185,16 +179,16 @@ void vertical97_forward(double* data, int stride, int w, int h, double* g,
     };
     auto lift = [&](int first, double k) {
         for (int y = first; y < h; y += 2)
-            K.lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), k, w);
+            lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), k, w);
     };
     lift(1, k_alpha);
     lift(0, k_beta);
     lift(1, k_gamma);
     lift(0, k_delta);
     for (int y = 0; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
+        scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
     for (int y = 1; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
+        scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
         const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
@@ -203,8 +197,7 @@ void vertical97_forward(double* data, int stride, int w, int h, double* g,
     }
 }
 
-void vertical97_inverse(double* data, int stride, int w, int h, double* g,
-                        const kernel_table& K)
+void vertical97_inverse(double* data, int stride, int w, int h, double* g)
 {
     const int nl = (h + 1) / 2;
     for (int y = 0; y < h; ++y) {
@@ -216,14 +209,14 @@ void vertical97_inverse(double* data, int stride, int w, int h, double* g,
         return g + static_cast<std::size_t>(mirror(y, h)) * w;
     };
     for (int y = 0; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
+        scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
     for (int y = 1; y < h; y += 2)
-        K.scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
+        scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
     // x -= k*(a+b) is x += (-k)*(a+b) bit for bit (IEEE negation is exact),
     // which lets synthesis share the single additive lift kernel.
     auto lift = [&](int first, double k) {
         for (int y = first; y < h; y += 2)
-            K.lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), -k, w);
+            lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), -k, w);
     };
     lift(0, k_delta);
     lift(1, k_gamma);
@@ -242,8 +235,7 @@ void vertical97_inverse(double* data, int stride, int w, int h, double* g,
 
 template <typename T, typename Fwd1D, typename Vert>
 void forward_level(T* data, int stride, int w, int h, Fwd1D analyze, Vert vertical,
-                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch,
-                   const kernel_table& K)
+                   std::vector<T>& grid, std::vector<T>& scratch)
 {
     if (w >= 2) {
         for (int y = 0; y < h; ++y) {
@@ -255,19 +247,18 @@ void forward_level(T* data, int stride, int w, int h, Fwd1D analyze, Vert vertic
     if (h >= 2) {
         if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
             grid.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-        vertical(data, stride, w, h, grid.data(), K);
+        vertical(data, stride, w, h, grid.data());
     }
 }
 
 template <typename T, typename Inv1D, typename Vert>
 void inverse_level(T* data, int stride, int w, int h, Inv1D synthesize, Vert vertical,
-                   std::pmr::vector<T>& grid, std::pmr::vector<T>& scratch,
-                   const kernel_table& K)
+                   std::vector<T>& grid, std::vector<T>& scratch)
 {
     if (h >= 2) {
         if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
             grid.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-        vertical(data, stride, w, h, grid.data(), K);
+        vertical(data, stride, w, h, grid.data());
     }
     if (w >= 2) {
         for (int y = 0; y < h; ++y) {
@@ -280,90 +271,85 @@ void inverse_level(T* data, int stride, int w, int h, Inv1D synthesize, Vert ver
 
 template <typename T, typename Fwd1D, typename Vert>
 void forward_multi(T* data, int stride, int w, int h, int levels, Fwd1D f,
-                   Vert vertical, std::pmr::memory_resource* mr)
+                   Vert vertical)
 {
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
-    const kernel_table& K = kernels();  // one table for the whole transform
-    std::pmr::vector<T> grid{mr_of(mr)};
-    std::pmr::vector<T> scratch{mr_of(mr)};
+    std::vector<T> grid;
+    std::vector<T> scratch;
     for (int l = 0; l < levels; ++l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) break;
-        forward_level(data, stride, lw, lh, f, vertical, grid, scratch, K);
+        forward_level(data, stride, lw, lh, f, vertical, grid, scratch);
     }
 }
 
 template <typename T, typename Inv1D, typename Vert>
 void inverse_multi(T* data, int stride, int w, int h, int levels, Inv1D f,
-                   Vert vertical, std::pmr::memory_resource* mr, int stop_level = 0)
+                   Vert vertical, int stop_level = 0)
 {
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
     if (stop_level < 0 || stop_level > levels)
         throw std::invalid_argument{"dwt: bad discard level"};
-    const kernel_table& K = kernels();
-    std::pmr::vector<T> grid{mr_of(mr)};
-    std::pmr::vector<T> scratch{mr_of(mr)};
+    std::vector<T> grid;
+    std::vector<T> scratch;
     for (int l = levels - 1; l >= stop_level; --l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) continue;
-        inverse_level(data, stride, lw, lh, f, vertical, grid, scratch, K);
+        inverse_level(data, stride, lw, lh, f, vertical, grid, scratch);
     }
 }
 
 }  // namespace
 
-void dwt53_forward(plane& p, int levels, std::pmr::memory_resource* mr)
+void dwt53_forward(plane& p, int levels)
 {
     forward_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
                   [](std::int32_t* x, int n) { dwt53_analyze_1d(x, n); },
-                  vertical53_forward, mr);
+                  vertical53_forward);
 }
 
-void dwt53_inverse(plane& p, int levels, std::pmr::memory_resource* mr)
+void dwt53_inverse(plane& p, int levels)
 {
     inverse_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
                   [](std::int32_t* x, int n) { dwt53_synthesize_1d(x, n); },
-                  vertical53_inverse, mr);
+                  vertical53_inverse);
 }
 
-void dwt97_forward(std::vector<double>& buf, int w, int h, int levels,
-                   std::pmr::memory_resource* mr)
+void dwt97_forward(std::vector<double>& buf, int w, int h, int levels)
 {
     if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
         throw std::invalid_argument{"dwt97_forward: buffer size mismatch"};
     forward_multi(buf.data(), w, w, h, levels,
                   [](double* x, int n) { dwt97_analyze_1d(x, n); },
-                  vertical97_forward, mr);
+                  vertical97_forward);
 }
 
-void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels,
-                   std::pmr::memory_resource* mr)
+void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels)
 {
     if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
         throw std::invalid_argument{"dwt97_inverse: buffer size mismatch"};
     inverse_multi(buf.data(), w, w, h, levels,
                   [](double* x, int n) { dwt97_synthesize_1d(x, n); },
-                  vertical97_inverse, mr);
+                  vertical97_inverse);
 }
 
-void dwt53_inverse_partial(plane& p, int levels, int discard,
-                           std::pmr::memory_resource* mr)
+void dwt53_inverse_partial(plane& p, int levels, int discard)
 {
     inverse_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
                   [](std::int32_t* x, int n) { dwt53_synthesize_1d(x, n); },
-                  vertical53_inverse, mr, discard);
+                  vertical53_inverse, discard);
 }
 
 void dwt97_inverse_partial(std::vector<double>& buf, int w, int h, int levels,
-                           int discard, std::pmr::memory_resource* mr)
+                           int discard)
 {
     if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
         throw std::invalid_argument{"dwt97_inverse_partial: buffer size mismatch"};
     inverse_multi(buf.data(), w, w, h, levels,
                   [](double* x, int n) { dwt97_synthesize_1d(x, n); },
-                  vertical97_inverse, mr, discard);
+                  vertical97_inverse, discard);
 }
 
 int reduced_extent(int full, int level) noexcept

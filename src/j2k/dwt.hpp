@@ -13,7 +13,6 @@
 
 #include "image.hpp"
 
-#include <memory_resource>
 #include <vector>
 
 namespace j2k {
@@ -55,23 +54,16 @@ struct band_rect {
 [[nodiscard]] double band_gain(band b, int level, wavelet w) noexcept;
 
 // -- 5/3 reversible (integer, in-place on a plane) ---------------------------
-//
-// All 2-D transforms take an optional memory resource for their internal
-// scratch (the interleave grid and row buffer).  Pass a per-job arena
-// (runtime/arena.hpp) to keep the hot path allocation-free; nullptr falls
-// back to the default heap resource.
 
 /// Forward L-level 5/3 transform of `p` in place.
-void dwt53_forward(plane& p, int levels, std::pmr::memory_resource* mr = nullptr);
+void dwt53_forward(plane& p, int levels);
 /// Inverse L-level 5/3 transform of `p` in place (exact inverse).
-void dwt53_inverse(plane& p, int levels, std::pmr::memory_resource* mr = nullptr);
+void dwt53_inverse(plane& p, int levels);
 
 // -- 9/7 irreversible (double buffer, row-major w×h) --------------------------
 
-void dwt97_forward(std::vector<double>& buf, int w, int h, int levels,
-                   std::pmr::memory_resource* mr = nullptr);
-void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels,
-                   std::pmr::memory_resource* mr = nullptr);
+void dwt97_forward(std::vector<double>& buf, int w, int h, int levels);
+void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels);
 
 // -- resolution scalability ---------------------------------------------------
 
@@ -79,10 +71,9 @@ void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels,
 /// L-1 … discard are synthesised, leaving a 1/2^discard-resolution image in
 /// the top-left extent(w,discard) × extent(h,discard) region.  discard = 0 is
 /// the full inverse.
-void dwt53_inverse_partial(plane& p, int levels, int discard,
-                           std::pmr::memory_resource* mr = nullptr);
+void dwt53_inverse_partial(plane& p, int levels, int discard);
 void dwt97_inverse_partial(std::vector<double>& buf, int w, int h, int levels,
-                           int discard, std::pmr::memory_resource* mr = nullptr);
+                           int discard);
 
 /// ceil(extent / 2^level) — the size of the reduced-resolution image.
 [[nodiscard]] int reduced_extent(int full, int level) noexcept;

@@ -25,9 +25,9 @@ std::int32_t quantize_value(double v, double step) noexcept
 
 double dequantize_value(std::int32_t q, double step) noexcept
 {
-    if (q == 0) return 0.0;
-    const double m = (std::abs(static_cast<double>(q)) + 0.5) * step;
-    return q < 0 ? -m : m;
+    double out;
+    dequant_row(&q, &out, step, 1);
+    return out;
 }
 
 void quantize_buffer(const std::vector<double>& in, std::vector<std::int32_t>& out,
@@ -43,7 +43,7 @@ void dequantize_buffer(const std::vector<std::int32_t>& in, std::vector<double>&
 {
     if (step <= 0.0) throw std::invalid_argument{"dequantize_buffer: step must be > 0"};
     out.resize(in.size());
-    kernels().dequant(in.data(), out.data(), step, in.size());
+    dequant_row(in.data(), out.data(), step, in.size());
 }
 
 }  // namespace j2k

@@ -36,9 +36,6 @@ struct decode_session::impl {
     int threads = 1;
     int current = 0;     ///< layers consumed so far
     bool poisoned = false;
-    /// Backs per-advance transients only (see session.hpp) — never the
-    /// persistent block slots, which may outlive any job-scoped arena.
-    std::pmr::memory_resource* scratch = nullptr;
     /// Segment payload bytes handed to the MQ decoders so far.  Plain streams
     /// decode through decoder::entropy_decode and are not tracked here (a
     /// plain stream has no layer segments — the counter stays 0).
@@ -107,8 +104,7 @@ struct decode_session::impl {
             tc.rect = tr;
             for (int c = 0; c < info.components; ++c)
                 tc.comps.emplace_back(tr.width, tr.height);
-            std::pmr::vector<std::int32_t> blk{
-                scratch ? scratch : std::pmr::get_default_resource()};
+            std::vector<std::int32_t> blk;
             for (const auto& s : slots[static_cast<std::size_t>(t)]) {
                 blk.resize(static_cast<std::size_t>(s.w) * s.h);
                 s.t1.read(blk.data());
@@ -116,10 +112,10 @@ struct decode_session::impl {
                               s.w, s.h, blk.data());
             }
         } else {
-            tc = dec.entropy_decode(t, stats ? &stats->t1 : nullptr, scratch);
+            tc = dec.entropy_decode(t, stats ? &stats->t1 : nullptr);
         }
         const tile_wavelet tw = dec.dequantize(tc);
-        const tile_pixels tp = dec.idwt(tw, scratch);
+        const tile_pixels tp = dec.idwt(tw);
         for (int c = 0; c < info.components; ++c)
             insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)], tr);
         if (stats) {
@@ -166,11 +162,6 @@ bool decode_session::complete() const noexcept
 void decode_session::set_threads(int threads) noexcept
 {
     impl_->threads = threads < 1 ? 1 : threads;
-}
-
-void decode_session::set_scratch_arena(std::pmr::memory_resource* mr) noexcept
-{
-    impl_->scratch = mr;
 }
 
 std::uint64_t decode_session::tier1_segment_bytes() const noexcept

@@ -57,15 +57,6 @@ public:
     /// independent).
     void set_threads(int threads) noexcept;
 
-    /// Back per-advance transient scratch (tier-1 block state of plain
-    /// streams, IDWT interleave buffers, gather blocks) with `mr` — typically
-    /// a per-job arena.  Only transients touch it: the persistent layer state
-    /// that survives between advances always lives on the heap, so a session
-    /// may safely outlive the resource once the arena is detached again with
-    /// set_scratch_arena(nullptr).  Callers that deposit sessions into a
-    /// cache MUST detach first.
-    void set_scratch_arena(std::pmr::memory_resource* mr) noexcept;
-
     /// Decode forward to `layers` quality layers (<= 0 or past the end clamp
     /// to full depth) and return the reconstruction at that depth.  Only the
     /// segments of layers not yet consumed are tier-1 decoded; calling with

@@ -106,32 +106,25 @@ constexpr context_luts make_luts() noexcept
 
 constexpr context_luts k_luts = make_luts();
 
-[[nodiscard]] std::pmr::memory_resource* mr_of(std::pmr::memory_resource* mr) noexcept
-{
-    return mr ? mr : std::pmr::get_default_resource();
-}
-
 /// Per-block coder state shared by encoder and decoder: one state word per
 /// sample on a plane with a one-sample zero border (so neighbour access
 /// needs no bounds checks), magnitudes on an unpadded plane, and the MQ
-/// contexts.  Both planes come from `mr` so a decode job can back them with
-/// its arena.
+/// contexts.
 struct block_state {
     int w;
     int h;
     std::ptrdiff_t stride;                 // w + 2
     const std::uint8_t* zc;                // Table D.1 row for the orientation
-    std::pmr::vector<std::uint32_t> word;  // (w+2)×(h+2)
-    std::pmr::vector<std::uint32_t> mag;   // encoder: |coeff|; decoder: accumulated
+    std::vector<std::uint32_t> word;  // (w+2)×(h+2)
+    std::vector<std::uint32_t> mag;   // encoder: |coeff|; decoder: accumulated
     std::array<mq_context, k_num_ctx> cx{};
 
-    block_state(int width, int height, band orient, std::pmr::memory_resource* mr)
+    block_state(int width, int height, band orient)
         : w{width}, h{height}, stride{width + 2},
           zc{k_luts.zc[static_cast<std::size_t>(orient)].data()},
           word(static_cast<std::size_t>(width + 2) * static_cast<std::size_t>(height + 2),
-               0u, mr_of(mr)),
-          mag(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), 0u,
-              mr_of(mr))
+               0u),
+          mag(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), 0u)
     {
         cx[0].reset(4, 0);          // ZC context 0 starts at state 4
         cx[k_ctx_rl].reset(3, 0);   // run-length starts at state 3
@@ -361,7 +354,7 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
         throw std::invalid_argument{"tier1_encode_layered: empty block"};
     if (passes_per_layer.empty())
         throw std::invalid_argument{"tier1_encode_layered: no layers"};
-    block_state st{w, h, orient, nullptr};
+    block_state st{w, h, orient};
     std::uint32_t maxmag = 0;
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
@@ -402,8 +395,7 @@ layered_codeblock tier1_encode_layered(const std::int32_t* coeffs, int w, int h,
 }
 
 /// Persistent state of a resumable block decoder: the shared coder state plus
-/// the cursor into the canonical pass sequence.  Allocated from the same
-/// memory resource as its planes.
+/// the cursor into the canonical pass sequence.
 struct tier1_block_decoder::state {
     block_state bs;
     int num_planes;
@@ -411,14 +403,8 @@ struct tier1_block_decoder::state {
     int segments = 0;
 };
 
-void tier1_block_decoder::state_deleter::operator()(state* s) const noexcept
-{
-    std::pmr::polymorphic_allocator<state>{s->bs.word.get_allocator()}.delete_object(s);
-}
-
 tier1_block_decoder::tier1_block_decoder(int width, int height, int num_planes,
-                                         band orient,
-                                         std::pmr::memory_resource* mr)
+                                         band orient)
 {
     if (width <= 0 || height <= 0)
         throw std::invalid_argument{"tier1_block_decoder: empty block"};
@@ -426,8 +412,7 @@ tier1_block_decoder::tier1_block_decoder(int width, int height, int num_planes,
     // codestream error so hostile inputs stay inside the decode error contract.
     if (num_planes < 0 || num_planes > 31)
         throw codestream_error{"tier1_block_decoder: implausible plane count"};
-    st_.reset(std::pmr::polymorphic_allocator<state>{mr_of(mr)}.new_object<state>(
-        block_state{width, height, orient, mr}, num_planes));
+    st_ = std::make_unique<state>(block_state{width, height, orient}, num_planes);
 }
 
 tier1_block_decoder::~tier1_block_decoder() = default;
@@ -475,15 +460,14 @@ void tier1_block_decoder::read(std::int32_t* out) const
 }
 
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
-                          band orient, int layers, tier1_stats* stats,
-                          std::pmr::memory_resource* mr)
+                          band orient, int layers, tier1_stats* stats)
 {
     if (cb.width <= 0 || cb.height <= 0)
         throw std::invalid_argument{"tier1_decode_layered: empty block"};
     // One batch decode is the resumable decoder fed every segment in turn —
     // a single code path keeps the incremental session bit-exact by
     // construction (num_planes validation happens in the constructor).
-    tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient, mr};
+    tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient};
     const std::size_t use_layers =
         layers <= 0 ? cb.segments.size()
                     : std::min<std::size_t>(static_cast<std::size_t>(layers),
@@ -496,13 +480,12 @@ void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
 }
 
 void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
-                  tier1_stats* stats, int max_passes,
-                  std::pmr::memory_resource* mr)
+                  tier1_stats* stats, int max_passes)
 {
     if (cb.width <= 0 || cb.height <= 0)
         throw std::invalid_argument{"tier1_decode: empty block"};
     // The whole codeword is one segment of a resumable decode.
-    tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient, mr};
+    tier1_block_decoder dec{cb.width, cb.height, cb.num_planes, orient};
     dec.advance(max_passes > 0 ? max_passes : cb.pass_count(), cb.data, stats);
     dec.read(out);
 }

@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -103,13 +102,10 @@ struct layered_codeblock {
     const std::vector<int>& passes_per_layer);
 
 /// Decode the first `layers` segments (0 = all); exact for full decodes,
-/// progressively coarser for prefixes.  `mr`, when non-null, supplies the
-/// decoder's per-block state (state words, magnitudes, contexts) — pass a
-/// per-job arena to keep the hot path allocation-free.
+/// progressively coarser for prefixes.
 void tier1_decode_layered(const layered_codeblock& cb, std::int32_t* out,
                           band orient, int layers = 0,
-                          tier1_stats* stats = nullptr,
-                          std::pmr::memory_resource* mr = nullptr);
+                          tier1_stats* stats = nullptr);
 
 /// Resumable layer-by-layer decoder for one code block.  The coder state
 /// (accumulated magnitudes, signs, significance map, MQ contexts, position in
@@ -122,11 +118,7 @@ class tier1_block_decoder {
 public:
     /// `num_planes` is stream data: implausible values throw codestream_error
     /// (empty geometry stays std::invalid_argument, as for tier1_decode).
-    /// `mr` backs all of the per-block coder state; leave it null (heap) for
-    /// decoders that outlive a decode job — session slots deposited into the
-    /// result cache must never reference a job-scoped arena.
-    tier1_block_decoder(int width, int height, int num_planes, band orient,
-                        std::pmr::memory_resource* mr = nullptr);
+    tier1_block_decoder(int width, int height, int num_planes, band orient);
     ~tier1_block_decoder();
 
     tier1_block_decoder(tier1_block_decoder&&) noexcept;
@@ -148,17 +140,13 @@ public:
     [[nodiscard]] int height() const noexcept;
     [[nodiscard]] int segments_consumed() const noexcept;
 
-    /// Bytes this decoder holds, all of them allocated from its memory
-    /// resource: the state object, the padded state-word plane and the
-    /// magnitude plane.
+    /// Bytes this decoder allocates: the state object, the padded state-word
+    /// plane and the magnitude plane.
     [[nodiscard]] std::size_t resident_bytes() const noexcept;
 
 private:
     struct state;
-    struct state_deleter {
-        void operator()(state* s) const noexcept;
-    };
-    std::unique_ptr<state, state_deleter> st_;
+    std::unique_ptr<state> st_;
 };
 
 /// Decode a code block back into signed coefficients; exact inverse of
@@ -168,7 +156,6 @@ private:
 /// SNR-scalability mechanism of EBCOT: fewer passes yield a coarser (but
 /// valid) reconstruction from a prefix of the codeword.  0 decodes all.
 void tier1_decode(const codeblock& cb, std::int32_t* out, band orient,
-                  tier1_stats* stats = nullptr, int max_passes = 0,
-                  std::pmr::memory_resource* mr = nullptr);
+                  tier1_stats* stats = nullptr, int max_passes = 0);
 
 }  // namespace j2k

@@ -114,8 +114,6 @@ metrics_snapshot metrics_snapshot::from(const std::vector<obs::family>& families
         {"cache_pinned_bytes", &metrics_snapshot::cache_pinned_bytes},
         {"cache_entries", &metrics_snapshot::cache_entries},
         {"cache_session_entries", &metrics_snapshot::cache_session_entries},
-        {"arena_fallback_allocs", &metrics_snapshot::arena_fallback_allocs},
-        {"arena_high_water_bytes", &metrics_snapshot::arena_high_water_bytes},
         {"tiles_decoded", &metrics_snapshot::tiles_decoded},
         {"tasks_stolen", &metrics_snapshot::tasks_stolen},
         {"pool_submissions", &metrics_snapshot::pool_submissions},

@@ -3,7 +3,7 @@
 //
 // Each decode_service owns one obs::registry and declares every service
 // metric there once: instruments below (the hot path is a relaxed add), and
-// collectors for values its queue, pool, cache and arenas own.
+// collectors for values its queue, pool and cache own.
 // `snapshot()` is a typed query over the collected families.
 #pragma once
 
@@ -66,8 +66,8 @@ struct metrics_snapshot {
     std::uint64_t cache_entries = 0;
     std::uint64_t cache_session_entries = 0;
 
-    // Per-job arena pool.
-    std::uint64_t arena_fallback_allocs = 0;  ///< scratch spills to the heap
+    // Always 0 since the per-job arena was removed; perfbench/ still reads them.
+    std::uint64_t arena_fallback_allocs = 0;
     std::uint64_t arena_high_water_bytes = 0;
 
     // Work.

@@ -161,9 +161,9 @@ struct server::impl {
             std::uint8_t hdr_buf[k_header_size] = {};
             std::size_t hdr_filled = 0;
             request_header hdr;
-            /// Arena buffer: recv() lands payload bytes directly here, and the
-            /// whole vector moves into the decode job on dispatch — the socket
-            /// path adds no intermediate copy.
+            /// recv() lands payload bytes directly here, and the whole vector
+            /// moves into the decode job on dispatch — the socket path adds
+            /// no intermediate copy.
             std::vector<std::uint8_t> payload;
             std::size_t payload_filled = 0;
             // Outbound frames (fully framed responses), possibly partially sent.

@@ -18,7 +18,7 @@
 //      └── framed response ◄── owning shard's queue + wake ◄─┘
 //
 // The data path is zero intermediate copy: payload bytes are recv()'d
-// directly into the arena buffer that becomes the job's owned storage
+// directly into the byte vector that becomes the job's owned storage
 // (`decode_service::submit_async` moves it, no memcpy), and result
 // serialisation happens on the pool worker that decoded the job, off the
 // loop.

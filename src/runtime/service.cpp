@@ -38,12 +38,7 @@ decode_service::decode_service(service_config cfg)
     // any job can name them (idempotent; static-init order plays no part).
     j2k::ensure_backend_registered();
     ccsds::ensure_backend_registered();
-    // One arena per worker: jobs in flight never exceed the worker count, so
-    // with the pool sized this way acquire() never runs dry in steady state.
-    if (cfg_.arena_bytes > 0)
-        arenas_ = std::make_unique<arena_pool>(
-            static_cast<std::size_t>(pool_->size()), cfg_.arena_bytes);
-    // Values owned by the queue, pool, cache and arenas are read where they
+    // Values owned by the queue, pool and cache are read where they
     // live at collection time; the registry keeps no copy of them.
     metrics_.reg.add_collector(obs::metric_type::counter, [this](obs::sample_sink& out) {
         out.add("jobs_promoted", queue_.promoted());
@@ -64,11 +59,6 @@ decode_service::decode_service(service_config cfg)
             out.add("codec_cache_hits", c.hits, label);
             out.add("codec_cache_misses", c.misses, label);
         }
-        if (arenas_) {
-            out.add("arena_leases", arenas_->leases());
-            out.add("arena_dry_acquires", arenas_->dry_acquires());
-            out.add("arena_fallback_allocs", arenas_->fallback_allocs());
-        }
     });
     metrics_.reg.add_collector(obs::metric_type::gauge, [this](obs::sample_sink& out) {
         out.add("queue_depth", queue_.size(), {}, queue_.high_water());
@@ -77,10 +67,6 @@ decode_service::decode_service(service_config cfg)
         out.add("cache_pinned_bytes", cs.pinned_bytes);
         out.add("cache_entries", cs.entries);
         out.add("cache_session_entries", cs.session_entries);
-        if (arenas_) {
-            out.add("arena_capacity_bytes", arenas_->bytes_each());
-            out.add("arena_high_water_bytes", arenas_->high_water());
-        }
         // Process metadata: info-style gauges carry their value as a label.
         out.add("build_info", 1.0,
                 {{"type", build_type()}, {"compiler", compiler_version()}});
@@ -321,14 +307,11 @@ void decode_service::run_job(job& j)
     OBS_TRACE_SCOPE("runtime", "decode_job");
     j2k::image img;
     try {
-        const arena_pool::lease scratch = acquire_arena();
         j2k::decoder dec{j.bytes};
         dec.set_max_passes(j.opt.max_passes);
         dec.set_max_quality_layers(j.opt.max_quality_layers);
-        img = j.opt.discard_levels > 0
-                  ? dec.decode_reduced(j.opt.discard_levels, nullptr,
-                                       scratch.resource())
-                  : decode_tiled(dec, scratch.resource());
+        img = j.opt.discard_levels > 0 ? dec.decode_reduced(j.opt.discard_levels)
+                                       : decode_tiled(dec);
     } catch (...) {
         metrics_.on_failed(j.opt.codec);
         OBS_TRACE_INSTANT("runtime", "job_failed");
@@ -346,7 +329,6 @@ void decode_service::run_cached_job(job& j)
     OBS_TRACE_SCOPE("runtime", "decode_job");
     decoded_cache::image_ptr shared;
     try {
-        const arena_pool::lease scratch = acquire_arena();
         j2k::decoder dec{j.bytes};
         dec.set_max_passes(j.opt.max_passes);
         dec.set_max_quality_layers(j.opt.max_quality_layers);
@@ -369,8 +351,7 @@ void decode_service::run_cached_job(job& j)
             // This worker leads the flight: decode inline (never waiting on
             // another job, so a leader always makes progress) and publish.
             try {
-                auto img = std::make_shared<const j2k::image>(
-                    decode_leader(j, dec, key, scratch.resource()));
+                auto img = std::make_shared<const j2k::image>(decode_leader(j, dec, key));
                 cache_->complete_flight(key, img, j.opt.cache == cache_policy::pin);
                 shared = std::move(img);
             } catch (...) {
@@ -408,8 +389,6 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
             throw unsupported_codec{id, "does not support quality-layer caps"};
         if (j.opt.max_passes > 0 && !caps.pass_cap)
             throw unsupported_codec{id, "does not support pass caps"};
-
-        const arena_pool::lease scratch = acquire_arena();
 
         if (j.on_layer) {
             // Generic progressive: the backend's session, no prefix cache
@@ -458,8 +437,8 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
                 shared = std::move(r->image);
             } else {
                 try {
-                    auto img = std::make_shared<const codec::image>(
-                        be.decode(j.bytes, req, scratch.resource()));
+                    auto img =
+                        std::make_shared<const codec::image>(be.decode(j.bytes, req));
                     cache_->complete_flight(key, img,
                                             j.opt.cache == cache_policy::pin);
                     shared = std::move(img);
@@ -469,8 +448,7 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
                 }
             }
         } else {
-            shared = std::make_shared<const codec::image>(
-                be.decode(j.bytes, req, scratch.resource()));
+            shared = std::make_shared<const codec::image>(be.decode(j.bytes, req));
         }
     } catch (const unsupported_codec&) {
         metrics_.on_unsupported(id);
@@ -490,27 +468,22 @@ void decode_service::run_backend_job(job& j, const codec::backend& be)
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
 
-j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_key& key,
-                                         std::pmr::memory_resource* mr)
+j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_key& key)
 {
     // Layered full-quality requests go through a resumable session so the
     // tier-1 prefix can be cached and extended; everything else (plain
     // streams, reduced resolution, SNR-capped) uses the classic paths.
     if (j.opt.discard_levels > 0)
-        return dec.decode_reduced(j.opt.discard_levels, nullptr, mr);
+        return dec.decode_reduced(j.opt.discard_levels);
     const bool layered = dec.info().quality_layers > 1;
-    if (!layered || j.opt.max_passes != 0) return decode_tiled(dec, mr);
+    if (!layered || j.opt.max_passes != 0) return decode_tiled(dec);
 
     if (auto lease = cache_->checkout_session(key.content_hash, j.bytes, key.layers)) {
         try {
             const std::uint64_t before = lease->session.tier1_segment_bytes();
             lease->session.set_threads(pool_->size());
-            lease->session.set_scratch_arena(mr);
             j2k::image img = lease->session.advance_to(key.layers);
             metrics_.t1_segment_bytes.add(lease->session.tier1_segment_bytes() - before);
-            // The session outlives this job in the cache; it must not keep a
-            // pointer to the job-scoped arena (reset at lease return).
-            lease->session.set_scratch_arena(nullptr);
             cache_->deposit_session(key.content_hash, std::move(lease->bytes),
                                     std::move(lease->session));
             return img;
@@ -522,17 +495,13 @@ j2k::image decode_service::decode_leader(job& j, j2k::decoder& dec, const cache_
 
     j2k::decode_session s{j.bytes};
     s.set_threads(pool_->size());
-    s.set_scratch_arena(mr);
     j2k::image img = s.advance_to(key.layers);
     metrics_.t1_segment_bytes.add(s.tier1_segment_bytes());
     // Deposit the cold prefix only when the job owns its bytes: the session
     // references the codestream storage, and a borrowed span (copy_input =
     // false) would leave it pointing into caller memory.  The vector move
     // keeps the heap buffer — and the session's references into it — stable.
-    // Detach the scratch arena first: the cached session outlives this job's
-    // lease.
     if (!j.owned.empty() && j.owned.data() == j.bytes.data()) {
-        s.set_scratch_arena(nullptr);
         std::vector<std::uint8_t> bytes = std::move(j.owned);
         j.bytes = {};
         cache_->deposit_session(key.content_hash, std::move(bytes), std::move(s));
@@ -547,9 +516,7 @@ void decode_service::run_progressive_job(job& j)
     OBS_TRACE_COUNTER("runtime", "progressive_active",
                       metrics_.progressive_active.value());
     try {
-        const arena_pool::lease scratch = acquire_arena();
         j2k::decode_session s{j.bytes};
-        s.set_scratch_arena(scratch.resource());
         const int stream_layers = s.total_layers();
         const int cap = j.opt.max_quality_layers;
         const int total = cap > 0 && cap < stream_layers ? cap : stream_layers;
@@ -577,7 +544,6 @@ void decode_service::run_progressive_job(job& j)
         // codestream storage, so only owned bytes may move into the cache.
         if (cache_ && j.opt.cache != cache_policy::bypass && stream_layers > 1 &&
             !j.owned.empty() && j.owned.data() == j.bytes.data()) {
-            s.set_scratch_arena(nullptr);  // cached session outlives the lease
             const std::uint64_t chash = fnv1a_bytes(j.bytes);
             std::vector<std::uint8_t> bytes = std::move(j.owned);
             j.bytes = {};
@@ -597,8 +563,7 @@ void decode_service::run_progressive_job(job& j)
     OBS_TRACE_ASYNC_END("job", "job", j.trace_id);
 }
 
-j2k::image decode_service::decode_tiled(const j2k::decoder& dec,
-                                        std::pmr::memory_resource* mr)
+j2k::image decode_service::decode_tiled(const j2k::decoder& dec)
 {
     const auto& info = dec.info();
     const auto grid = dec.tiles();
@@ -615,7 +580,7 @@ j2k::image decode_service::decode_tiled(const j2k::decoder& dec,
         j2k::tile_coeffs tc;
         {
             obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[0]};
-            tc = dec.entropy_decode(t, nullptr, mr);
+            tc = dec.entropy_decode(t);
         }
         j2k::tile_wavelet tw;
         {
@@ -625,7 +590,7 @@ j2k::image decode_service::decode_tiled(const j2k::decoder& dec,
         j2k::tile_pixels tp;
         {
             obs::stage_timer st{nullptr, nullptr, metrics_.stage_ns[2]};
-            tp = dec.idwt(tw, mr);
+            tp = dec.idwt(tw);
         }
         for (int c = 0; c < info.components; ++c)
             j2k::insert_tile(img.comp(c), tp.comps[static_cast<std::size_t>(c)],

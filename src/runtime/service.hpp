@@ -19,7 +19,6 @@
 // running jobs complete, new submissions fail fast.
 #pragma once
 
-#include "arena.hpp"
 #include "metrics.hpp"
 #include "queue.hpp"
 #include "thread_pool.hpp"
@@ -130,14 +129,6 @@ struct service_config {
     /// session prefixes, and concurrent identical misses collapse to one
     /// decode (see cache/decoded_cache.hpp).
     std::size_t cache_bytes = 0;
-    /// Per-job scratch arena size (0 = no arenas; jobs allocate from the
-    /// heap).  The service owns one arena per worker; each job leases one for
-    /// its lifetime and every decode transient (tier-1 block state, DWT
-    /// interleave buffers, gather blocks) bump-allocates from it, so steady
-    /// state does zero malloc on the hot path.  A job whose scratch outgrows
-    /// the arena degrades to heap fallback (counted, never fatal); see
-    /// runtime/arena.hpp.
-    std::size_t arena_bytes = 8u << 20;
 };
 
 class decode_service {
@@ -283,18 +274,11 @@ private:
     /// The single-flight leader's decode: through a resumable session for
     /// layered streams (depositing the prefix for later requests), through
     /// the classic tiled path otherwise.
-    j2k::image decode_leader(job& j, j2k::decoder& dec, const cache_key& key,
-                             std::pmr::memory_resource* mr);
+    j2k::image decode_leader(job& j, j2k::decoder& dec, const cache_key& key);
     void finish_one();
     /// Trace counters for the queue levels (no-ops unless tracing is armed).
     void trace_queue_depths();
-    j2k::image decode_tiled(const j2k::decoder& dec, std::pmr::memory_resource* mr);
-    /// One lease per job; empty (→ heap scratch) when pooling is disabled or
-    /// the pool is momentarily dry.
-    [[nodiscard]] arena_pool::lease acquire_arena() noexcept
-    {
-        return arenas_ ? arenas_->acquire() : arena_pool::lease{};
-    }
+    j2k::image decode_tiled(const j2k::decoder& dec);
 
     service_config cfg_;
     service_metrics metrics_;
@@ -306,9 +290,6 @@ private:
 
     two_level_queue<job_ptr> queue_;
     std::unique_ptr<decoded_cache> cache_;  ///< null when cache_bytes == 0
-    /// Declared before pool_ so workers (which hold leases mid-job) are
-    /// joined before the arenas they allocate from are torn down.
-    std::unique_ptr<arena_pool> arenas_;  ///< null when arena_bytes == 0
     std::unique_ptr<thread_pool> pool_;  ///< last member: destroyed (joined) first
 };
 

@@ -13,7 +13,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <memory_resource>
 #include <random>
 #include <vector>
 
@@ -169,14 +168,6 @@ TEST(CcsdsRoundTrip, EncoderClampsSamplesOutsideTheDeclaredDepth)
     EXPECT_EQ(out.comp(0).samples()[1], 255);
     EXPECT_EQ(out.comp(0).samples()[2], 255);
     EXPECT_EQ(out.comp(0).samples()[3], 255);
-}
-
-TEST(CcsdsRoundTrip, CallerMemoryResourceBacksScratchWithoutChangingPixels)
-{
-    const image src = codec::make_test_image(33, 21, 6, 16, 77);
-    const auto cs = ccsds::encode(src);
-    std::pmr::monotonic_buffer_resource arena{1 << 16};
-    EXPECT_EQ(ccsds::decode(cs, &arena), src);
 }
 
 // ---- hostile payloads ------------------------------------------------------

@@ -130,8 +130,7 @@ public:
         return {};
     }
     [[nodiscard]] codec::image decode(std::span<const std::uint8_t>,
-                                      const codec::decode_request&,
-                                      std::pmr::memory_resource*) const override
+                                      const codec::decode_request&) const override
     {
         throw codec::codestream_error{"fake"};
     }

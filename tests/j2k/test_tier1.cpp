@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory_resource>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <vector>
 
@@ -252,30 +253,22 @@ TEST(Tier1PinnedCounts, LayeredBlockFedSegmentBySegment)
 }
 
 // ---------------------------------------------------------------------------
-// Memory footprint: resident_bytes() is exactly what the decoder holds in
-// its memory resource (the session sums it for the cache's byte budget).
+// Memory footprint: resident_bytes() is exactly what the decoder allocates
+// (the session sums it for the cache's byte budget).  The replacement
+// operator new/delete below count bytes only while `g_counting` is set on the
+// calling thread, so the rest of the binary is unaffected.
 
-class counting_resource : public std::pmr::memory_resource {
-public:
-    std::size_t live = 0;
-    std::size_t total = 0;
+thread_local bool g_counting = false;
+thread_local std::size_t g_allocated = 0;
+thread_local std::size_t g_freed = 0;
 
-private:
-    void* do_allocate(std::size_t n, std::size_t align) override
-    {
-        live += n;
-        total += n;
-        return std::pmr::new_delete_resource()->allocate(n, align);
-    }
-    void do_deallocate(void* p, std::size_t n, std::size_t align) override
-    {
-        live -= n;
-        std::pmr::new_delete_resource()->deallocate(p, n, align);
-    }
-    bool do_is_equal(const std::pmr::memory_resource& o) const noexcept override
-    {
-        return this == &o;
-    }
+/// Counts this thread's heap traffic for its lifetime.
+struct heap_counter {
+    heap_counter() { g_allocated = g_freed = 0, g_counting = true; }
+    ~heap_counter() { g_counting = false; }
+    heap_counter(const heap_counter&) = delete;
+    heap_counter& operator=(const heap_counter&) = delete;
+    [[nodiscard]] std::size_t live() const { return g_allocated - g_freed; }
 };
 
 TEST(Tier1BlockDecoder, ResidentBytesAreExactlyWhatItAllocates)
@@ -283,18 +276,38 @@ TEST(Tier1BlockDecoder, ResidentBytesAreExactlyWhatItAllocates)
     for (const auto& [w, h] : {std::pair{1, 1}, {5, 3}, {32, 7}, {33, 33}}) {
         const auto c = pinned_coeffs(w, h, 800, 63, 50);
         const auto lc = j2k::tier1_encode_layered(c.data(), w, h, band::hl, {2, 2});
-        counting_resource cr;
+        heap_counter heap;
         {
-            j2k::tier1_block_decoder dec{w, h, lc.num_planes, band::hl, &cr};
-            EXPECT_EQ(cr.live, dec.resident_bytes()) << w << "x" << h;
+            j2k::tier1_block_decoder dec{w, h, lc.num_planes, band::hl};
+            EXPECT_EQ(heap.live(), dec.resident_bytes()) << w << "x" << h;
             for (const auto& seg : lc.segments) dec.advance(seg.passes, seg.data);
             // Decoding allocates nothing further.
-            EXPECT_EQ(cr.total, dec.resident_bytes()) << w << "x" << h;
+            EXPECT_EQ(g_allocated, dec.resident_bytes()) << w << "x" << h;
             j2k::tier1_block_decoder moved{std::move(dec)};
-            EXPECT_EQ(cr.live, moved.resident_bytes()) << w << "x" << h;
+            EXPECT_EQ(heap.live(), moved.resident_bytes()) << w << "x" << h;
         }
-        EXPECT_EQ(cr.live, 0u) << w << "x" << h;
+        EXPECT_EQ(heap.live(), 0u) << w << "x" << h;
     }
 }
 
 }  // namespace
+
+// Out of line so GCC does not pair an inlined free() with a new-expression
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n)
+{
+    if (g_counting) g_allocated += n;
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    throw std::bad_alloc{};
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void operator delete(void* p, std::size_t n) noexcept
+{
+    if (g_counting) g_freed += n;
+    std::free(p);
+}

@@ -654,11 +654,6 @@ TEST(OpsServer, GoldenFamilyListSurvives)
     if (traced) obs::tracer::instance().set_enabled(false);
 
     std::set<std::pair<std::string, std::string>> expected = {
-        {"j2k_arena_capacity_bytes", ""},
-        {"j2k_arena_dry_acquires_total", ""},
-        {"j2k_arena_fallback_allocs_total", ""},
-        {"j2k_arena_high_water_bytes", ""},
-        {"j2k_arena_leases_total", ""},
         {"j2k_build_info", "compiler,type"},
         {"j2k_cache_bytes", ""},
         {"j2k_cache_collapses_total", ""},
