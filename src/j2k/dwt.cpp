@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace j2k {
 
@@ -33,34 +34,6 @@ constexpr double k_K = 1.230174104914001;
     int e = full;
     for (int i = 0; i < level; ++i) e = (e + 1) / 2;
     return e;
-}
-
-/// Deinterleave x (even→low half, odd→high half) using scratch.
-template <typename T>
-void deinterleave(T* x, int n, std::vector<T>& scratch)
-{
-    scratch.assign(x, x + n);
-    const int nl = (n + 1) / 2;
-    for (int i = 0; i < n; ++i) {
-        if (i % 2 == 0)
-            x[i / 2] = scratch[static_cast<std::size_t>(i)];
-        else
-            x[nl + i / 2] = scratch[static_cast<std::size_t>(i)];
-    }
-}
-
-/// Interleave (inverse of deinterleave).
-template <typename T>
-void interleave(T* x, int n, std::vector<T>& scratch)
-{
-    scratch.assign(x, x + n);
-    const int nl = (n + 1) / 2;
-    for (int i = 0; i < n; ++i) {
-        if (i % 2 == 0)
-            x[i] = scratch[static_cast<std::size_t>(i / 2)];
-        else
-            x[i] = scratch[static_cast<std::size_t>(nl + i / 2)];
-    }
 }
 
 }  // namespace
@@ -112,244 +85,283 @@ void dwt97_synthesize_1d(double* x, int n)
 namespace {
 
 // ---------------------------------------------------------------------------
-// Vertical (column-direction) passes, restructured for SIMD.
+// 2-D transform on deinterleaved halves.
 //
-// The old implementation gathered every column into a strided temp and ran
-// the 1-D filter on it — h loads + h stores per column, unvectorisable.  The
-// lifting steps are elementwise across a row once the data is viewed in
-// interleaved row order, so instead we copy the region's rows into a
-// contiguous grid in interleaved order, apply each lifting step as a
-// whole-row kernel (kernels.hpp), and copy back.  The per-element arithmetic
-// is identical to running dwt*_1d down each column, so results are bit-exact
-// with the previous layout.
+// A level's lifting steps never run on interleaved data.  Along either axis
+// the signal is held as two halves, low L[0..nl) (even samples) and high
+// H[0..nh) (odd samples), and a step updates every sample i of one half from
+// two neighbours of the other:
+//   low  update: L[i] op= f(H[i-1], H[i])
+//   high update: H[i] op= f(L[i],   L[i+1])
+// Whole-sample symmetric extension of the interleaved signal (the at()
+// extension of the 1-D functions above) reduces to clamping the neighbour
+// index into the other half: H[-1] is H[0], and the one past-the-end
+// neighbour is the other half's last sample.  That is the only boundary rule,
+// shared by the forward and inverse transforms of both banks and by both
+// axes, and it leaves the interior of every step one call to a row kernel
+// (kernels.hpp) — no per-sample index arithmetic.  Each output sample sees
+// the same operands as in the 1-D functions, so the result is bit-exact with
+// them (kernels.cpp's flags keep every 9/7 multiply rounded before its add).
 //
-// Row y's lifting neighbours are rows mirror(y±1, h) — passing the mirrored
-// row twice at the boundary reproduces the 1-D at() extension exactly.
+// Horizontally the halves are the two ends of one row; vertically they are
+// the top and bottom row blocks of the region and a "sample" is a whole row.
+// The interleave (inverse) or deinterleave (forward) of samples happens once
+// per row, on the way into or out of the level scratch `grid`, and the row
+// interleave is folded into the same write: two memory passes per level.
 // ---------------------------------------------------------------------------
 
-void vertical53_forward(std::int32_t* data, int stride, int w, int h,
-                        std::int32_t* g)
+/// One lifting step as row-kernel runs: `run(i, j, k, count)` updates
+/// targets i..i+count-1 of the lifted half (`nd` samples) from samples j..
+/// and k.. of the other half (`ns` samples).  Target i's neighbours are
+/// i+o-1 and i+o, with o = 0 for the low half and 1 for the high half; a
+/// neighbour outside [0, ns) is the nearest end sample, so the at most one
+/// end target on each side sees that sample twice.
+template <typename Run>
+void lift_runs(int nd, int ns, int o, Run run)
 {
-    for (int y = 0; y < h; ++y)
-        std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
-                    g + static_cast<std::size_t>(y) * w);
-    auto row = [g, w, h](int y) {
-        return g + static_cast<std::size_t>(mirror(y, h)) * w;
-    };
-    for (int y = 1; y < h; y += 2)
-        lift53_sub_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
-    for (int y = 0; y < h; y += 2)
-        lift53_add_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
-    const int nl = (h + 1) / 2;
-    for (int y = 0; y < h; ++y) {
-        const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
-        std::copy_n(g + static_cast<std::size_t>(y) * w, w,
-                    data + static_cast<std::ptrdiff_t>(dst) * stride);
-    }
+    const int first = 1 - o;                // low: L[0] has no H[-1]
+    const int last = std::min(nd, ns - o);  // past the last with both inside
+    if (first > 0) run(0, 0, 0, 1);
+    run(first, first + o - 1, first + o, last - first);
+    if (last < nd) run(last, ns - 1, ns - 1, 1);
 }
 
-void vertical53_inverse(std::int32_t* data, int stride, int w, int h,
-                        std::int32_t* g)
-{
-    const int nl = (h + 1) / 2;
-    for (int y = 0; y < h; ++y) {
-        const int src = y % 2 == 0 ? y / 2 : nl + y / 2;
-        std::copy_n(data + static_cast<std::ptrdiff_t>(src) * stride, w,
-                    g + static_cast<std::size_t>(y) * w);
+/// The halves of one deinterleaved row of n >= 2 samples.
+template <typename T>
+struct row_halves {
+    T* lo;
+    T* hi;
+    int nl;
+    int nh;
+
+    row_halves(T* x, int n) : lo{x}, hi{x + (n + 1) / 2}, nl{(n + 1) / 2}, nh{n / 2} {}
+
+    template <typename Kernel>
+    void lift_lo(Kernel k)
+    {
+        lift_runs(nl, nh, 0, [&](int i, int j, int m, int c) { k(lo + i, hi + j, hi + m, c); });
     }
-    auto row = [g, w, h](int y) {
-        return g + static_cast<std::size_t>(mirror(y, h)) * w;
-    };
-    for (int y = 0; y < h; y += 2)
-        lift53_sub_round(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
-    for (int y = 1; y < h; y += 2)
-        lift53_add_avg(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), w);
+    template <typename Kernel>
+    void lift_hi(Kernel k)
+    {
+        lift_runs(nh, nl, 1, [&](int i, int j, int m, int c) { k(hi + i, lo + j, lo + m, c); });
+    }
+    void scale(double kl, double kh)
+    {
+        scale97(lo, kl, nl);
+        scale97(hi, kh, nh);
+    }
+};
+
+/// The halves of a region of h >= 2 deinterleaved rows of w samples: low
+/// rows 0..nl, high rows nl..h, `stride` apart.
+template <typename T>
+struct column_halves {
+    T* base;
+    std::ptrdiff_t stride;
+    int w;
+    int nl;
+    int nh;
+
+    column_halves(T* data, std::ptrdiff_t s, int width, int h)
+        : base{data}, stride{s}, w{width}, nl{(h + 1) / 2}, nh{h / 2}
+    {
+    }
+
+    [[nodiscard]] T* row(int r) const { return base + r * stride; }
+
+    template <typename Kernel>
+    void lift(int nd, int d0, int ns, int s0, int o, Kernel k)
+    {
+        lift_runs(nd, ns, o, [&](int i, int j, int m, int c) {
+            for (int r = 0; r < c; ++r)
+                k(row(d0 + i + r), row(s0 + j + r), row(s0 + m + r), w);
+        });
+    }
+    template <typename Kernel>
+    void lift_lo(Kernel k)
+    {
+        lift(nl, 0, nh, nl, 0, k);
+    }
+    template <typename Kernel>
+    void lift_hi(Kernel k)
+    {
+        lift(nh, nl, nl, 0, 1, k);
+    }
+    void scale(double kl, double kh)
+    {
+        for (int r = 0; r < nl; ++r) scale97(row(r), kl, w);
+        for (int r = nl; r < nl + nh; ++r) scale97(row(r), kh, w);
+    }
+};
+
+/// 9/7 lift by a fixed coefficient, in the row-kernel signature.
+[[nodiscard]] auto lift_by(double k)
+{
+    return [k](double* d, const double* a, const double* b, int n) { lift97(d, a, b, k, n); };
+}
+
+// The lifting programs (ISO/IEC 15444-1 F.3.8.2 / F.4.8.2), on any halves.
+// Synthesis subtracts as x += (-k)*(a+b), bit for bit x -= k*(a+b) (IEEE
+// negation is exact), so both directions share the one additive kernel.
+
+struct bank53 {
+    using sample = std::int32_t;
+    template <typename Halves>
+    static void analyze(Halves h)
+    {
+        h.lift_hi(lift53_sub_avg);
+        h.lift_lo(lift53_add_round);
+    }
+    template <typename Halves>
+    static void synthesize(Halves h)
+    {
+        h.lift_lo(lift53_sub_round);
+        h.lift_hi(lift53_add_avg);
+    }
+};
+
+struct bank97 {
+    using sample = double;
+    template <typename Halves>
+    static void analyze(Halves h)
+    {
+        h.lift_hi(lift_by(k_alpha));
+        h.lift_lo(lift_by(k_beta));
+        h.lift_hi(lift_by(k_gamma));
+        h.lift_lo(lift_by(k_delta));
+        h.scale(1.0 / k_K, k_K);
+    }
+    template <typename Halves>
+    static void synthesize(Halves h)
+    {
+        h.scale(k_K, 1.0 / k_K);
+        h.lift_lo(lift_by(-k_delta));
+        h.lift_hi(lift_by(-k_gamma));
+        h.lift_lo(lift_by(-k_beta));
+        h.lift_hi(lift_by(-k_alpha));
+    }
+};
+
+/// Index of interleaved sample (or row) i within the deinterleaved order.
+[[nodiscard]] constexpr int deinterleaved(int i, int n) noexcept
+{
+    return i % 2 == 0 ? i / 2 : (n + 1) / 2 + i / 2;
+}
+
+// ---------------------------------------------------------------------------
+// One level of the transform.  `grid` is one w×h scratch reused across levels.
+//   forward: each row is deinterleaved into its deinterleaved-order grid row
+//            and lifted there, the grid's rows are lifted, grid → data.
+//   inverse: the region's rows are lifted in place, each row is lifted in
+//            place and interleaved into its interleaved-order grid row,
+//            grid → data.
+// ---------------------------------------------------------------------------
+
+template <typename Bank, typename T>
+void forward_level(T* data, int stride, int w, int h, std::vector<T>& grid)
+{
+    grid.resize(std::max(grid.size(), static_cast<std::size_t>(w) * h));
+    const int nl = (w + 1) / 2;
+    for (int y = 0; y < h; ++y) {
+        const T* src = data + static_cast<std::ptrdiff_t>(y) * stride;
+        T* dst = grid.data() + static_cast<std::ptrdiff_t>(deinterleaved(y, h)) * w;
+        for (int i = 0; i < nl; ++i) dst[i] = src[2 * i];
+        for (int i = 0; i < w / 2; ++i) dst[nl + i] = src[2 * i + 1];
+        if (w >= 2) Bank::analyze(row_halves<T>{dst, w});
+    }
+    if (h >= 2) Bank::analyze(column_halves<T>{grid.data(), w, w, h});
     for (int y = 0; y < h; ++y)
-        std::copy_n(g + static_cast<std::size_t>(y) * w, w,
+        std::copy_n(grid.data() + static_cast<std::ptrdiff_t>(y) * w, w,
                     data + static_cast<std::ptrdiff_t>(y) * stride);
 }
 
-void vertical97_forward(double* data, int stride, int w, int h, double* g)
+template <typename Bank, typename T>
+void inverse_level(T* data, int stride, int w, int h, std::vector<T>& grid)
 {
-    for (int y = 0; y < h; ++y)
-        std::copy_n(data + static_cast<std::ptrdiff_t>(y) * stride, w,
-                    g + static_cast<std::size_t>(y) * w);
-    auto row = [g, w, h](int y) {
-        return g + static_cast<std::size_t>(mirror(y, h)) * w;
-    };
-    auto lift = [&](int first, double k) {
-        for (int y = first; y < h; y += 2)
-            lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), k, w);
-    };
-    lift(1, k_alpha);
-    lift(0, k_beta);
-    lift(1, k_gamma);
-    lift(0, k_delta);
-    for (int y = 0; y < h; y += 2)
-        scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
-    for (int y = 1; y < h; y += 2)
-        scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
-    const int nl = (h + 1) / 2;
+    grid.resize(std::max(grid.size(), static_cast<std::size_t>(w) * h));
+    if (h >= 2) Bank::synthesize(column_halves<T>{data, stride, w, h});
+    const int nl = (w + 1) / 2;
     for (int y = 0; y < h; ++y) {
-        const int dst = y % 2 == 0 ? y / 2 : nl + y / 2;
-        std::copy_n(g + static_cast<std::size_t>(y) * w, w,
-                    data + static_cast<std::ptrdiff_t>(dst) * stride);
+        T* src = data + static_cast<std::ptrdiff_t>(deinterleaved(y, h)) * stride;
+        T* dst = grid.data() + static_cast<std::ptrdiff_t>(y) * w;
+        if (w >= 2) Bank::synthesize(row_halves<T>{src, w});
+        for (int i = 0; i < nl; ++i) dst[2 * i] = src[i];
+        for (int i = 0; i < w / 2; ++i) dst[2 * i + 1] = src[nl + i];
     }
-}
-
-void vertical97_inverse(double* data, int stride, int w, int h, double* g)
-{
-    const int nl = (h + 1) / 2;
-    for (int y = 0; y < h; ++y) {
-        const int src = y % 2 == 0 ? y / 2 : nl + y / 2;
-        std::copy_n(data + static_cast<std::ptrdiff_t>(src) * stride, w,
-                    g + static_cast<std::size_t>(y) * w);
-    }
-    auto row = [g, w, h](int y) {
-        return g + static_cast<std::size_t>(mirror(y, h)) * w;
-    };
-    for (int y = 0; y < h; y += 2)
-        scale97(g + static_cast<std::size_t>(y) * w, k_K, w);
-    for (int y = 1; y < h; y += 2)
-        scale97(g + static_cast<std::size_t>(y) * w, 1.0 / k_K, w);
-    // x -= k*(a+b) is x += (-k)*(a+b) bit for bit (IEEE negation is exact),
-    // which lets synthesis share the single additive lift kernel.
-    auto lift = [&](int first, double k) {
-        for (int y = first; y < h; y += 2)
-            lift97(g + static_cast<std::size_t>(y) * w, row(y - 1), row(y + 1), -k, w);
-    };
-    lift(0, k_delta);
-    lift(1, k_gamma);
-    lift(0, k_beta);
-    lift(1, k_alpha);
     for (int y = 0; y < h; ++y)
-        std::copy_n(g + static_cast<std::size_t>(y) * w, w,
+        std::copy_n(grid.data() + static_cast<std::ptrdiff_t>(y) * w, w,
                     data + static_cast<std::ptrdiff_t>(y) * stride);
 }
 
-// ---------------------------------------------------------------------------
-// Level drivers: rows then columns (forward), columns then rows (inverse).
-// `grid` is one w×h scratch reused across levels; `scratch` is 1-D row
-// scratch for the de/interleave of the horizontal pass.
-// ---------------------------------------------------------------------------
-
-template <typename T, typename Fwd1D, typename Vert>
-void forward_level(T* data, int stride, int w, int h, Fwd1D analyze, Vert vertical,
-                   std::vector<T>& grid, std::vector<T>& scratch)
-{
-    if (w >= 2) {
-        for (int y = 0; y < h; ++y) {
-            T* row = data + static_cast<std::ptrdiff_t>(y) * stride;
-            analyze(row, w);
-            deinterleave(row, w, scratch);
-        }
-    }
-    if (h >= 2) {
-        if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
-            grid.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-        vertical(data, stride, w, h, grid.data());
-    }
-}
-
-template <typename T, typename Inv1D, typename Vert>
-void inverse_level(T* data, int stride, int w, int h, Inv1D synthesize, Vert vertical,
-                   std::vector<T>& grid, std::vector<T>& scratch)
-{
-    if (h >= 2) {
-        if (grid.size() < static_cast<std::size_t>(w) * static_cast<std::size_t>(h))
-            grid.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
-        vertical(data, stride, w, h, grid.data());
-    }
-    if (w >= 2) {
-        for (int y = 0; y < h; ++y) {
-            T* row = data + static_cast<std::ptrdiff_t>(y) * stride;
-            interleave(row, w, scratch);
-            synthesize(row, w);
-        }
-    }
-}
-
-template <typename T, typename Fwd1D, typename Vert>
-void forward_multi(T* data, int stride, int w, int h, int levels, Fwd1D f,
-                   Vert vertical)
+template <typename Bank>
+void forward_multi(typename Bank::sample* data, int w, int h, int levels)
 {
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
-    std::vector<T> grid;
-    std::vector<T> scratch;
+    std::vector<typename Bank::sample> grid;
     for (int l = 0; l < levels; ++l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) break;
-        forward_level(data, stride, lw, lh, f, vertical, grid, scratch);
+        forward_level<Bank>(data, w, lw, lh, grid);
     }
 }
 
-template <typename T, typename Inv1D, typename Vert>
-void inverse_multi(T* data, int stride, int w, int h, int levels, Inv1D f,
-                   Vert vertical, int stop_level = 0)
+template <typename Bank>
+void inverse_multi(typename Bank::sample* data, int w, int h, int levels, int stop_level = 0)
 {
     if (levels < 0) throw std::invalid_argument{"dwt: negative level count"};
     if (stop_level < 0 || stop_level > levels)
         throw std::invalid_argument{"dwt: bad discard level"};
-    std::vector<T> grid;
-    std::vector<T> scratch;
+    std::vector<typename Bank::sample> grid;
     for (int l = levels - 1; l >= stop_level; --l) {
         const int lw = level_extent(w, l);
         const int lh = level_extent(h, l);
         if (lw < 2 && lh < 2) continue;
-        inverse_level(data, stride, lw, lh, f, vertical, grid, scratch);
+        inverse_level<Bank>(data, w, lw, lh, grid);
     }
+}
+
+void check_size(const std::vector<double>& buf, int w, int h, const char* who)
+{
+    if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
+        throw std::invalid_argument{std::string{who} + ": buffer size mismatch"};
 }
 
 }  // namespace
 
 void dwt53_forward(plane& p, int levels)
 {
-    forward_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
-                  [](std::int32_t* x, int n) { dwt53_analyze_1d(x, n); },
-                  vertical53_forward);
+    forward_multi<bank53>(p.samples().data(), p.width(), p.height(), levels);
 }
 
 void dwt53_inverse(plane& p, int levels)
 {
-    inverse_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
-                  [](std::int32_t* x, int n) { dwt53_synthesize_1d(x, n); },
-                  vertical53_inverse);
+    inverse_multi<bank53>(p.samples().data(), p.width(), p.height(), levels);
 }
 
 void dwt97_forward(std::vector<double>& buf, int w, int h, int levels)
 {
-    if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
-        throw std::invalid_argument{"dwt97_forward: buffer size mismatch"};
-    forward_multi(buf.data(), w, w, h, levels,
-                  [](double* x, int n) { dwt97_analyze_1d(x, n); },
-                  vertical97_forward);
+    check_size(buf, w, h, "dwt97_forward");
+    forward_multi<bank97>(buf.data(), w, h, levels);
 }
 
 void dwt97_inverse(std::vector<double>& buf, int w, int h, int levels)
 {
-    if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
-        throw std::invalid_argument{"dwt97_inverse: buffer size mismatch"};
-    inverse_multi(buf.data(), w, w, h, levels,
-                  [](double* x, int n) { dwt97_synthesize_1d(x, n); },
-                  vertical97_inverse);
+    check_size(buf, w, h, "dwt97_inverse");
+    inverse_multi<bank97>(buf.data(), w, h, levels);
 }
 
 void dwt53_inverse_partial(plane& p, int levels, int discard)
 {
-    inverse_multi(p.samples().data(), p.width(), p.width(), p.height(), levels,
-                  [](std::int32_t* x, int n) { dwt53_synthesize_1d(x, n); },
-                  vertical53_inverse, discard);
+    inverse_multi<bank53>(p.samples().data(), p.width(), p.height(), levels, discard);
 }
 
 void dwt97_inverse_partial(std::vector<double>& buf, int w, int h, int levels,
                            int discard)
 {
-    if (static_cast<std::size_t>(w) * static_cast<std::size_t>(h) != buf.size())
-        throw std::invalid_argument{"dwt97_inverse_partial: buffer size mismatch"};
-    inverse_multi(buf.data(), w, w, h, levels,
-                  [](double* x, int n) { dwt97_synthesize_1d(x, n); },
-                  vertical97_inverse, discard);
+    check_size(buf, w, h, "dwt97_inverse_partial");
+    inverse_multi<bank97>(buf.data(), w, h, levels, discard);
 }
 
 int reduced_extent(int full, int level) noexcept

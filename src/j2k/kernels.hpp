@@ -1,12 +1,12 @@
 // j2k/kernels.hpp — the row kernels of the decode hot path.
 //
-// The inner loops of the IDWT lifting steps, the inverse colour transforms,
-// and dequantisation are elementwise over rows.  They live in one TU built
-// with -ffp-contract=off (every double multiply rounds before its add, so
-// results do not depend on whether the target has FMA), -fno-trapping-math
-// (which lets GCC vectorise the ICT and dequant selects at the baseline ISA)
-// and the dynamic vectoriser cost model (so -O2 builds vectorise too).  The
-// loops are written for the auto-vectoriser.
+// The inner loops of the DWT lifting steps, the rounding of 9/7 output, the
+// inverse colour transforms, and dequantisation are elementwise over rows.
+// They live in one TU built with -ffp-contract=off (every double multiply
+// rounds before its add, so results do not depend on whether the target has
+// FMA), -fno-trapping-math (which lets GCC vectorise the selects at the
+// baseline ISA) and the dynamic vectoriser cost model (so -O2 builds
+// vectorise too).  The loops are written for the auto-vectoriser.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,9 @@ enum class kernel_isa : std::uint8_t {
 // b[i] — callers handle boundary mirroring by choosing which rows to pass
 // (a and b may alias each other and d).
 
-// 5/3 integer lifting over a row of n samples.
+// 5/3 integer lifting over a row of n samples, in two's-complement
+// wrap-around (hostile streams can decode to coefficients whose sums leave
+// int32).
 void lift53_sub_avg(std::int32_t* d, const std::int32_t* a, const std::int32_t* b,
                     int n);  ///< d -= (a+b)>>1
 void lift53_add_avg(std::int32_t* d, const std::int32_t* a, const std::int32_t* b,
@@ -48,11 +50,15 @@ void lift97(double* d, const double* a, const double* b, double k,
             int n);                       ///< d += k*(a+b)
 void scale97(double* d, double k, int n);  ///< d *= k
 
-/// Inverse ICT over n samples of three planes, in place.  Results round half
-/// away from zero and saturate to ±(2^31-1).
+/// out[i] = std::lround(v[i]) saturated to ±(2^31-1) (NaN gives 0): the
+/// conversion of 9/7 IDWT output to integer samples.
+void round_row(const double* v, std::int32_t* out, std::size_t n) noexcept;
+
+/// Inverse ICT over n samples of three planes, in place.  Results round as
+/// round_row does.
 void ict_inverse_rows(std::int32_t* y, std::int32_t* cb, std::int32_t* cr,
                       std::size_t n) noexcept;
-/// Inverse RCT over n samples of three planes, in place.
+/// Inverse RCT over n samples of three planes, in place (wrap-around sums).
 void rct_inverse_rows(std::int32_t* y, std::int32_t* u, std::int32_t* v,
                       std::size_t n) noexcept;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 
@@ -196,6 +197,106 @@ TEST(Dwt97, ConstantSignalPreservedInLLWithUnitGain)
         for (int x = 0; x < 32; ++x)
             if (x >= 16 || y >= 16)
                 ASSERT_NEAR(buf[static_cast<std::size_t>(y) * 32 + x], 0.0, 1e-6);
+}
+
+// ---- 2-D inverse against the 1-D oracle ----
+//
+// The 2-D inverse lifts deinterleaved halves with the row kernels; the 1-D
+// functions lift interleaved samples through the mirror() extension.  The
+// reference below is the 2-D transform written with the 1-D functions only
+// (per level: every column gathered, interleaved and synthesised, then every
+// row), and the 2-D functions must match it bit for bit.
+
+template <typename T, typename Synth>
+void reference_inverse(std::vector<T>& buf, int w, int h, int levels, int discard,
+                       Synth synth)
+{
+    std::vector<T> line;
+    // Gather n samples first, first+step, ... in interleaved order (the low
+    // half holds the even samples), synthesise, scatter back in order.
+    const auto synth_line = [&](int n, std::size_t first, std::size_t step) {
+        line.resize(static_cast<std::size_t>(n));
+        const int nl = (n + 1) / 2;
+        for (int i = 0; i < n; ++i)
+            line[static_cast<std::size_t>(i)] =
+                buf[first + step * static_cast<std::size_t>(i % 2 == 0 ? i / 2 : nl + i / 2)];
+        synth(line.data(), n);
+        for (int i = 0; i < n; ++i)
+            buf[first + step * static_cast<std::size_t>(i)] = line[static_cast<std::size_t>(i)];
+    };
+    for (int l = levels - 1; l >= discard; --l) {
+        const int lw = j2k::reduced_extent(w, l);
+        const int lh = j2k::reduced_extent(h, l);
+        for (int x = 0; x < lw; ++x)
+            synth_line(lh, static_cast<std::size_t>(x), static_cast<std::size_t>(w));
+        for (int y = 0; y < lh; ++y)
+            synth_line(lw, static_cast<std::size_t>(y) * static_cast<std::size_t>(w), 1);
+    }
+}
+
+template <typename T>
+::testing::AssertionResult same_bits(const std::vector<T>& got, const std::vector<T>& want)
+{
+    if (got.size() == want.size() &&
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(T)) == 0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "differs from the 1-D reference";
+}
+
+/// Every inverse entry point at every discard level of one shape.
+void expect_inverse_matches_reference(int w, int h, int levels)
+{
+    std::mt19937 rng{static_cast<std::uint32_t>((w * 131 + h) * 8 + levels)};
+    const std::size_t n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+    std::vector<std::int32_t> icoef(n);
+    for (auto& v : icoef) v = static_cast<std::int32_t>(rng() % (1u << 21)) - (1 << 20);
+    std::uniform_real_distribution<double> dist{-1000.0, 1000.0};
+    std::vector<double> dcoef(n);
+    for (auto& v : dcoef) v = dist(rng);
+
+    for (int discard = 0; discard <= levels; ++discard) {
+        SCOPED_TRACE(testing::Message() << w << "x" << h << " L" << levels << " discard "
+                                        << discard);
+        std::vector<std::int32_t> iref = icoef;
+        reference_inverse(iref, w, h, levels, discard, j2k::dwt53_synthesize_1d);
+        plane p{w, h};
+        p.samples() = icoef;
+        j2k::dwt53_inverse_partial(p, levels, discard);
+        EXPECT_TRUE(same_bits(p.samples(), iref));
+
+        std::vector<double> dref = dcoef;
+        reference_inverse(dref, w, h, levels, discard, j2k::dwt97_synthesize_1d);
+        std::vector<double> buf = dcoef;
+        j2k::dwt97_inverse_partial(buf, w, h, levels, discard);
+        EXPECT_TRUE(same_bits(buf, dref));
+
+        if (discard == 0) {
+            p.samples() = icoef;
+            j2k::dwt53_inverse(p, levels);
+            EXPECT_TRUE(same_bits(p.samples(), iref));
+            buf = dcoef;
+            j2k::dwt97_inverse(buf, w, h, levels);
+            EXPECT_TRUE(same_bits(buf, dref));
+        }
+    }
+}
+
+TEST(Dwt2dOracle, InverseMatchesOneDimensionalReferenceOnSmallShapes)
+{
+    for (int w = 1; w <= 40; ++w)
+        for (int h = 1; h <= 40; ++h)
+            for (int levels = 0; levels <= 6; ++levels) {
+                expect_inverse_matches_reference(w, h, levels);
+                if (HasFailure()) return;  // one shape's report is enough
+            }
+}
+
+TEST(Dwt2dOracle, InverseMatchesOneDimensionalReferenceOnOddLargeShapes)
+{
+    for (int levels = 0; levels <= 6; ++levels) {
+        expect_inverse_matches_reference(97, 131, levels);
+        expect_inverse_matches_reference(1, 257, levels);
+    }
 }
 
 // ---- layout ----

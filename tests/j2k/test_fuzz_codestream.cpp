@@ -1,7 +1,8 @@
 // Structure-aware codestream fuzzing: mutate valid streams (byte flips,
-// truncations, splices, targeted header corruption) and require that decode
-// either succeeds or throws codestream_error — never any other exception,
-// crash, hang, or sanitizer report.  Deterministic: a fixed xorshift64 seed
+// truncations, splices, targeted header corruption, and rewrites of the
+// per-block plane-count and pass-count fields with every length left intact)
+// and require that decode either succeeds or throws codestream_error —
+// never any other exception, crash, hang, or sanitizer report.  Deterministic: a fixed xorshift64 seed
 // drives every mutation, so failures replay exactly.
 //
 // Iteration count scales with the FUZZ_ITERS environment variable (default
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -131,6 +133,80 @@ void expect_clean_decode(const std::vector<std::uint8_t>& cs, std::uint64_t iter
     }
 }
 
+/// Where one code block's fields sit in a codestream: its plane-count byte,
+/// the pass-count bytes of its layer segments (layered streams only) and the
+/// byte ranges of its segments.
+struct block_fields {
+    std::size_t planes_at = 0;
+    std::vector<std::size_t> passes_at;
+    std::vector<std::pair<std::size_t, std::size_t>> segments;  ///< (offset, length)
+};
+
+/// Walk the tile payloads (or layer chunks) of a valid stream in the
+/// canonical block order and record every block's fields.
+std::vector<block_fields> find_blocks(const std::vector<std::uint8_t>& cs)
+{
+    const j2k::stream_info info = j2k::read_header(cs);
+    const auto grid = j2k::tile_grid(info.width, info.height, info.tile_width,
+                                     info.tile_height);
+    const bool layered = info.quality_layers > 1;
+    std::vector<block_fields> blocks;
+    std::size_t first = 0;  // index of the current tile's first block
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+        first = blocks.size();
+        for (int l = 0; l < (layered ? info.quality_layers : 1); ++l) {
+            j2k::byte_reader r{cs};
+            r.seek(layered ? info.chunk_offsets[static_cast<std::size_t>(l) * grid.size() + t]
+                           : info.tile_offsets[t]);
+            std::size_t bi = first;
+            for (int c = 0; c < info.components; ++c)
+                for (const auto& br : j2k::subband_layout(grid[t].width, grid[t].height,
+                                                          info.levels)) {
+                    if (br.width == 0 || br.height == 0) continue;
+                    j2k::detail::for_each_codeblock(br, [&](int, int, int, int) {
+                        if (l == 0) {
+                            blocks.emplace_back();
+                            blocks.back().planes_at = r.pos();
+                            (void)r.u8();
+                        }
+                        block_fields& b = blocks[bi++];
+                        if (layered) {
+                            b.passes_at.push_back(r.pos());
+                            (void)r.u8();
+                        }
+                        const std::uint32_t len = r.u32();
+                        b.segments.emplace_back(r.pos(), len);
+                        (void)r.bytes(len);
+                    });
+                }
+        }
+    }
+    return blocks;
+}
+
+/// Overwrite a block's segments with random bytes, keeping their lengths.
+void randomise_segments(std::vector<std::uint8_t>& cs, const block_fields& b,
+                        xorshift64& rng)
+{
+    for (const auto& [at, len] : b.segments)
+        for (std::size_t i = 0; i < len; ++i) cs[at + i] = static_cast<std::uint8_t>(rng.next());
+}
+
+/// Decode through both synthesis paths (full, and one level discarded) and
+/// require each to succeed or throw codestream_error.
+void expect_clean_decode_both_paths(const std::vector<std::uint8_t>& cs, std::uint64_t iter)
+{
+    expect_clean_decode(cs, iter);
+    try {
+        const j2k::decoder dec{cs};
+        if (dec.info().levels > 0) (void)dec.decode_reduced(1);
+    } catch (const j2k::codestream_error&) {
+    } catch (const std::exception& e) {
+        FAIL() << "iter " << iter << ": decode_reduced threw " << typeid(e).name() << " ("
+               << e.what() << ") instead of codestream_error";
+    }
+}
+
 class CodestreamFuzz : public ::testing::TestWithParam<int> {};
 
 TEST(CodestreamFuzz, MutatedStreamsNeverEscapeTheErrorContract)
@@ -186,6 +262,71 @@ TEST(CodestreamFuzz, HostileTier1SegmentsStayInsideTheBlock)
         } catch (const j2k::codestream_error&) {
             EXPECT_TRUE(planes < 0 || planes > 31) << "iter " << i << ": " << planes;
         }
+    }
+}
+
+TEST(CodestreamFuzz, HostilePlaneCountsDecodeWithoutOverflow)
+{
+    // A valid plane count of 29-31 over random segment bytes decodes to
+    // coefficients near ±2^31; lifting, colour transform, rounding and DC
+    // shift must stay defined on them (the UBSan leg fails on any overflow).
+    for (const j2k::wavelet mode : {j2k::wavelet::w5_3, j2k::wavelet::w9_7}) {
+        const auto seed = make_stream(64, 64, 3, 64, mode, 1);
+        const auto blocks = find_blocks(seed);
+        for (int planes = 29; planes <= 31; ++planes) {
+            SCOPED_TRACE(testing::Message() << (mode == j2k::wavelet::w5_3 ? "5/3" : "9/7")
+                                            << " planes " << planes);
+            xorshift64 rng{0x0DDB1A5Eull + static_cast<std::uint64_t>(planes)};
+            std::vector<std::uint8_t> cs = seed;
+            // The first block of each component is its LL block.
+            const std::size_t per_comp = blocks.size() / 3;
+            for (std::size_t c = 0; c < 3; ++c) {
+                const block_fields& b = blocks[c * per_comp];
+                cs[b.planes_at] = static_cast<std::uint8_t>(planes);
+                randomise_segments(cs, b, rng);
+            }
+            j2k::image img;
+            ASSERT_NO_THROW(img = j2k::decode(cs));
+            const std::int32_t maxv = (1 << img.bit_depth()) - 1;
+            for (int c = 0; c < img.components(); ++c)
+                for (const std::int32_t v : img.comp(c).samples()) {
+                    ASSERT_GE(v, 0);
+                    ASSERT_LE(v, maxv);
+                }
+            ASSERT_NO_THROW((void)j2k::decoder{cs}.decode_reduced(1));
+        }
+    }
+}
+
+TEST(CodestreamFuzz, RewrittenPlaneAndPassCountsNeverEscapeTheErrorContract)
+{
+    // Structure-aware: only the per-block count fields change (plane counts
+    // to 0-40, straddling the valid 0-31; layer pass counts to any byte),
+    // and half the touched blocks also get random segment bytes, so tier-1
+    // decodes deep planes and downstream stages see extreme coefficients.
+    const std::vector<std::vector<std::uint8_t>> seeds = {
+        make_stream(48, 48, 1, 32, j2k::wavelet::w5_3, 1),  // lossless, 4 tiles
+        make_stream(32, 32, 3, 32, j2k::wavelet::w9_7, 1),  // lossy, ICT
+        make_stream(48, 48, 3, 32, j2k::wavelet::w5_3, 3),  // layered, RCT
+        make_stream(32, 32, 1, 32, j2k::wavelet::w9_7, 4),  // layered lossy
+    };
+    std::vector<std::vector<block_fields>> fields;
+    for (const auto& s : seeds) fields.push_back(find_blocks(s));
+    const int iters = fuzz_iters();
+    xorshift64 rng{0x9A55E5ull};
+    for (int i = 0; i < iters; ++i) {
+        const std::size_t s = static_cast<std::size_t>(i) % seeds.size();
+        const auto& blocks = fields[s];
+        std::vector<std::uint8_t> cs = seeds[s];
+        const std::size_t touched = 1 + rng.below(4);
+        for (std::size_t k = 0; k < touched; ++k) {
+            const block_fields& b = blocks[rng.below(blocks.size())];
+            cs[b.planes_at] = static_cast<std::uint8_t>(rng.below(41));
+            for (const std::size_t at : b.passes_at)
+                if (rng.below(2)) cs[at] = static_cast<std::uint8_t>(rng.next());
+            if (rng.below(2)) randomise_segments(cs, b, rng);
+        }
+        expect_clean_decode_both_paths(cs, static_cast<std::uint64_t>(i));
     }
 }
 

@@ -8,8 +8,9 @@
 // order fails here even when the golden corpus happens not to reach it.
 //
 // The edge-value tests cover inputs no encoder produces but a hostile
-// stream can: dequantisation of extreme indices and an ICT whose result
-// leaves the int32 range (saturated, never a float-to-int overflow).
+// stream can: dequantisation of extreme indices, rounding of values at and
+// beyond the int32 range, and an ICT whose result leaves that range
+// (saturated, never a float-to-int overflow).
 #include <j2k/j2k.hpp>
 #include <j2k/kernels.hpp>
 #include <runtime/hash.hpp>
@@ -175,6 +176,102 @@ TEST(KernelDifferential, IctSaturatesResultsOutsideTheInt32Range)
     EXPECT_EQ(img.comp(0).samples()[3], k_max);
     EXPECT_EQ(img.comp(1).samples()[3], -1'428'272'000);
     EXPECT_EQ(img.comp(2).samples()[3], 0);
+}
+
+/// std::lround, saturated to ±(2^31-1) where the rounded value leaves that
+/// range (lround itself is only defined while the result fits a long).
+std::int32_t lround_saturated(double v)
+{
+    constexpr double k_lim = 2147483647.0;
+    if (std::fabs(v) >= 0x1p62) return v < 0.0 ? -2147483647 : 2147483647;
+    return static_cast<std::int32_t>(
+        std::clamp<long>(std::lround(v), -static_cast<long>(k_lim), static_cast<long>(k_lim)));
+}
+
+TEST(KernelDifferential, RoundRowMatchesLroundAtEdgeValues)
+{
+    // 0.49999999999999994 is the largest double below 0.5: |v| + 0.5 rounds
+    // up to 1.0 there, so a round built on it returns 1 where lround gives 0.
+    const std::vector<double> v{0.49999999999999994, -0.49999999999999994,
+                                0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.0,
+                                2147483647.0 - 0.5, 0x1p31, -0x1p31,
+                                1e300, -1e300, 0x1p52 + 1.0, 2147483646.5,
+                                -2147483646.5, -2147483647.5, 3.0, -7.0};
+    std::vector<std::int32_t> out(v.size(), 12345);
+    j2k::round_row(v.data(), out.data(), v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        EXPECT_EQ(out[i], lround_saturated(v[i])) << "v=" << v[i];
+    EXPECT_EQ(out[0], 0);
+    EXPECT_EQ(out[2], 1);
+    EXPECT_EQ(out[3], -1);
+    EXPECT_EQ(out[9], 2147483647);   // 2^31 - 0.5 rounds to 2^31: saturated
+    EXPECT_EQ(out[11], -2147483647);
+    EXPECT_EQ(out[14], 2147483647);  // 2^52 + 1
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    j2k::round_row(&nan, out.data(), 1);
+    EXPECT_EQ(out[0], 0);
+}
+
+TEST(KernelDifferential, RoundRowMatchesLroundNextToEveryKindOfTie)
+{
+    // Each tie k + 0.5 and its two neighbouring doubles, for small k, for k
+    // either side of every power of two up to the int32 limit (where
+    // |v| + 0.5 enters the next binade) and for random k.
+    std::vector<double> v;
+    const auto around = [&v](double k) {
+        for (const double t : {k + 0.5, -(k + 0.5)}) {
+            v.push_back(t);
+            v.push_back(std::nextafter(t, 0.0));
+            v.push_back(std::nextafter(t, 2.0 * t));
+        }
+    };
+    for (int k = 0; k < 64; ++k) around(k);
+    for (int e = 1; e <= 31; ++e) {
+        around(std::ldexp(1.0, e) - 1.0);
+        around(std::ldexp(1.0, e));
+    }
+    std::mt19937 rng{99};
+    for (int i = 0; i < 2000; ++i) around(static_cast<double>(rng() >> 1));
+    std::vector<std::int32_t> out(v.size());
+    j2k::round_row(v.data(), out.data(), v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        ASSERT_EQ(out[i], lround_saturated(v[i])) << std::hexfloat << "v=" << v[i];
+}
+
+TEST(KernelDifferential, IctRoundsAsRoundRow)
+{
+    // One exact rounding for the lossy path: the ICT's results are rounded
+    // as round_row rounds IDWT output.  Random and extreme inputs; the
+    // products are forced through memory so no multiply fuses into its add.
+    std::mt19937 rng{2024};
+    constexpr std::size_t k_n = 4096;
+    j2k::image img{static_cast<int>(k_n), 1, 3, 8};
+    for (int c = 0; c < 3; ++c)
+        for (auto& s : img.comp(c).samples())
+            s = rng() % 4 == 0 ? static_cast<std::int32_t>(rng())
+                               : static_cast<std::int32_t>(rng() % 2001) - 1000;
+    const j2k::image in = img;
+    j2k::ict_inverse(img);
+    std::vector<double> rgb(3 * k_n);
+    for (std::size_t i = 0; i < k_n; ++i) {
+        const double Y = in.comp(0).samples()[i];
+        const double Cb = in.comp(1).samples()[i];
+        const double Cr = in.comp(2).samples()[i];
+        volatile double r = 1.402 * Cr, gb = 0.344136 * Cb, gr = 0.714136 * Cr,
+                        b = 1.772 * Cb;
+        const double G0 = Y - gb;
+        rgb[i] = Y + r;
+        rgb[k_n + i] = G0 - gr;
+        rgb[2 * k_n + i] = Y + b;
+    }
+    std::vector<std::int32_t> want(3 * k_n);
+    j2k::round_row(rgb.data(), want.data(), rgb.size());
+    for (std::size_t i = 0; i < k_n; ++i)
+        for (int c = 0; c < 3; ++c) {
+            const auto ci = static_cast<std::size_t>(c);
+            ASSERT_EQ(img.comp(c).samples()[i], want[ci * k_n + i]) << "c=" << c << " i=" << i;
+            ASSERT_EQ(want[ci * k_n + i], lround_saturated(rgb[ci * k_n + i]));
+        }
 }
 
 TEST(KernelDispatch, ScalarIsTheOnlyKernelSet)
